@@ -81,10 +81,14 @@ impl RunScale {
     }
 
     /// Reads `HETEROWIRE_SCALE=quick|full` from the environment (default
-    /// full) so CI can downscale the harness. Panics on unknown values.
+    /// full) so CI can downscale the harness. Exits with status 2 naming
+    /// the value on anything else, like every other malformed input.
     pub fn from_env() -> Self {
         let value = std::env::var("HETEROWIRE_SCALE").ok();
-        Self::from_env_value(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+        Self::from_env_value(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 }
 

@@ -17,7 +17,7 @@ use heterowire_wires::WireClass;
 
 use super::policy::{CacheReturn, TransferPolicy, ValueCopy};
 use super::wheel::DeferredSend;
-use super::{Action, Phase, Processor, ValueInfo, IN_FLIGHT};
+use super::{Action, Phase, Processor, IN_FLIGHT};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// Schedules a send for cycle `at` (clamped to the next cycle, matching
@@ -34,17 +34,12 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         }));
     }
 
-    /// Sends a register-value copy of `producer` to `cluster`; the policy
-    /// picks the class and message form. `ready_at_dispatch` marks the
-    /// paper's first PW criterion.
-    pub(super) fn send_value_copy(
-        &mut self,
-        producer: u64,
-        cluster: usize,
-        ready_at_dispatch: bool,
-    ) {
+    /// Sends a copy of the register value in `row` to `cluster`; the
+    /// policy picks the class and message form. `ready_at_dispatch` marks
+    /// the paper's first PW criterion.
+    pub(super) fn send_value_copy(&mut self, row: u32, cluster: usize, ready_at_dispatch: bool) {
         let (src_cluster, narrow, value, pc, critical) = {
-            let v = self.value(producer).expect("value exists");
+            let v = self.values.info(row);
             // Completion-time copies carry the criticality mark recorded
             // when the consumer subscribed; dispatch-time copies had slack
             // by definition.
@@ -75,7 +70,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             class: decision.class,
             kind: decision.kind,
         };
-        let action = Action::ValueArrive { producer, cluster };
+        let action = Action::ValueArrive {
+            row,
+            cluster: cluster as u32,
+        };
         if decision.delay > 0 {
             self.defer_send(self.cycle + decision.delay, transfer, action);
         } else {
@@ -84,8 +82,19 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 .send_probed(transfer, self.cycle, &mut self.probe);
             self.record_action(id, action);
         }
-        debug_assert!(self.value(producer).is_some(), "value exists");
-        self.slots.set_arrival(producer, cluster, IN_FLIGHT);
+        self.values.set_arrival(row, cluster, IN_FLIGHT);
+    }
+
+    /// Publishes the value in `row`, produced in `cluster` this cycle:
+    /// sends copies to its subscribers (in subscription order) and wakes
+    /// its local waiters.
+    fn publish(&mut self, row: u32, cluster: usize) {
+        self.values.info_mut(row).done_at = Some(self.cycle);
+        let subs = self.values.take_subscribers(row);
+        for c in subs.iter() {
+            self.send_value_copy(row, c, false);
+        }
+        self.wake_waiters(row, cluster);
     }
 
     /// Records the delivery action of a freshly sent transfer. Transfer
@@ -103,12 +112,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         for &(id, _t) in &delivered {
             let action = self.actions[id.0 as usize];
             match action {
-                Action::ValueArrive { producer, cluster } => {
-                    let cycle = self.cycle;
-                    if self.value(producer).is_some() {
-                        self.slots.set_arrival(producer, cluster, cycle);
-                    }
-                    self.wake_waiters(producer, cluster);
+                Action::ValueArrive { row, cluster } => {
+                    let cluster = cluster as usize;
+                    self.values.set_arrival(row, cluster, self.cycle);
+                    self.wake_waiters(row, cluster);
                 }
                 Action::PartialAddr { seq } => {
                     let info = self
@@ -190,27 +197,16 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                     }
                 }
                 Action::CacheData { seq } => {
-                    let cycle = self.cycle;
-                    let (cluster, narrow, pc, has) = match self.rob_get(seq) {
-                        Some(i) => (i.cluster, i.op.is_narrow_result(), i.op.pc(), true),
-                        None => (0, false, 0, false),
+                    let Some(i) = self.rob_get_mut(seq) else {
+                        continue;
                     };
-                    if let Some(i) = self.rob_get(seq) {
-                        self.load_lat_sum += cycle.saturating_sub(i.issued_at);
-                        self.load_count += 1;
-                    }
-                    if has {
-                        if let Some(i) = self.rob_get_mut(seq) {
-                            i.phase = Phase::Done;
-                        }
-                        let v = self.values[seq as usize]
-                            .get_or_insert_with(|| ValueInfo::new(cluster, narrow, 0, pc));
-                        v.done_at = Some(cycle);
-                        let subs = self.slots.take_subscribers(seq);
-                        for c in subs.iter() {
-                            self.send_value_copy(seq, c, false);
-                        }
-                        self.wake_waiters(seq, cluster);
+                    i.phase = Phase::Done;
+                    let (cluster, dest_row, issued_at) = (i.cluster, i.dest_row, i.issued_at);
+                    self.load_lat_sum += self.cycle.saturating_sub(issued_at);
+                    self.load_count += 1;
+                    // A load without a destination has no readers.
+                    if let Some(row) = dest_row {
+                        self.publish(row, cluster);
                     }
                 }
                 Action::BranchSignal => {
@@ -279,9 +275,9 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             self.probe.complete(cycle, seq);
         }
         {
-            let (op, cluster, mispredict) = {
+            let (op, cluster, mispredict, dest_row) = {
                 let i = self.rob_get(seq).expect("in rob");
-                (i.op, i.cluster, i.mispredict)
+                (i.op, i.cluster, i.mispredict, i.dest_row)
             };
             match op.op() {
                 OpClass::Load => {
@@ -324,13 +320,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 _ => {
                     // ALU result: publish and notify subscribers.
                     self.rob_get_mut(seq).expect("in rob").phase = Phase::Done;
-                    if let Some(d) = op.dest() {
-                        self.value_mut(seq).expect("value registered").done_at = Some(cycle);
-                        let subs = self.slots.take_subscribers(seq);
-                        for c in subs.iter() {
-                            self.send_value_copy(seq, c, false);
-                        }
-                        self.wake_waiters(seq, cluster);
+                    if let (Some(d), Some(row)) = (op.dest(), dest_row) {
+                        self.publish(row, cluster);
                         // Integer results train the policy's width
                         // predictor (the detector sits next to the ALU).
                         if d.class() == RegClass::Int {

@@ -29,26 +29,27 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             // Gather producer info for steering.
             scratch.producers.clear();
             let mut src_producer = [None; 2];
-            let mut youngest_pending: Option<u64> = None;
+            // `(seq, row)` of the youngest producer still executing.
+            let mut youngest_pending: Option<(u64, u32)> = None;
             for (s, slot) in op.src_slots().into_iter().enumerate() {
                 let Some(reg) = slot else { continue };
-                let p = self.rename[reg.flat_index()];
-                src_producer[s] = p;
-                if let Some(p) = p {
-                    if let Some(v) = self.value(p) {
-                        if v.done_at.is_none() && youngest_pending.map(|y| p > y).unwrap_or(true) {
-                            youngest_pending = Some(p);
-                        }
-                        scratch.producers.push(ProducerInfo {
-                            cluster: v.cluster,
-                            critical: false,
-                        });
-                    }
+                let Some((p, row)) = self.rename[reg.flat_index()] else {
+                    continue;
+                };
+                src_producer[s] = Some(row);
+                let v = self.values.info(row);
+                if v.done_at.is_none() && youngest_pending.is_none_or(|(y, _)| p > y) {
+                    youngest_pending = Some((p, row));
                 }
+                scratch.producers.push(ProducerInfo {
+                    cluster: v.cluster,
+                    critical: false,
+                });
             }
+            let youngest_row = youngest_pending.map(|(_, row)| row);
             // Mark the youngest still-pending producer as critical.
-            if let Some(y) = youngest_pending {
-                let yc = self.value(y).expect("pending producer").cluster;
+            if let Some(y) = youngest_row {
+                let yc = self.values.info(y).cluster;
                 if let Some(pi) = scratch.producers.iter_mut().find(|pi| pi.cluster == yc) {
                     pi.critical = true;
                 }
@@ -109,28 +110,31 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             }
             let seq = op.seq();
             debug_assert_eq!(seq, self.rob_base + self.rob.len() as u64);
-            debug_assert_eq!(seq as usize, self.values.len(), "seqs are dense");
 
-            // Register the destination value (a slot exists for every
-            // dispatched op, `None` when there is no destination) and
-            // rename. The slot tables grow a row for every seq so their
-            // offsets stay seq-dense too.
-            self.values.push(
-                op.dest()
-                    .map(|_| ValueInfo::new(cluster, op.is_narrow_result(), op.result(), op.pc())),
-            );
-            self.slots.push_value();
-            if let Some(d) = op.dest() {
-                self.rename[d.flat_index()] = Some(seq);
-            }
+            // Register the destination value in a pooled row and rename,
+            // remembering the row it supersedes (freed at this op's
+            // commit).
+            let (dest_row, prev_row) = match op.dest() {
+                Some(d) => {
+                    let row = self.values.alloc(ValueInfo::new(
+                        cluster,
+                        op.is_narrow_result(),
+                        op.result(),
+                        op.pc(),
+                    ));
+                    let prev = self.rename[d.flat_index()].replace((seq, row));
+                    (Some(row), prev.map(|(_, r)| r))
+                }
+                None => (None, None),
+            };
 
             // Cross-cluster operand copies / subscriptions.
             for &p in src_producer.iter().flatten() {
                 let (v_cluster, v_done) = {
-                    let v = self.value(p).expect("present");
+                    let v = self.values.info(p);
                     (v.cluster, v.done_at.is_some())
                 };
-                if v_cluster == cluster || self.slots.arrival(p, cluster) != NOT_SENT {
+                if v_cluster == cluster || self.values.arrival(p, cluster) != NOT_SENT {
                     continue;
                 }
                 if v_done {
@@ -139,12 +143,9 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                     // Remember whether this subscription is the consumer's
                     // last-arriving operand: the same criticality signal
                     // steering uses feeds the completion-time copy.
-                    self.slots.push_subscriber_unique(p, cluster);
-                    if youngest_pending == Some(p) {
-                        self.value_mut(p)
-                            .expect("present")
-                            .critical_subs
-                            .insert(cluster);
+                    self.values.push_subscriber_unique(p, cluster);
+                    if youngest_row == Some(p) {
+                        self.values.info_mut(p).critical_subs.insert(cluster);
                     }
                 }
             }
@@ -160,6 +161,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 cluster,
                 phase: Phase::Waiting,
                 src_producer,
+                dest_row,
+                prev_row,
                 src_ready: [u64::MAX; 2],
                 mispredict: fetched.mispredicted,
                 dispatched_at: self.cycle,

@@ -54,7 +54,7 @@ pub use policies::{CriticalityPolicy, OraclePolicy, PwFirstPolicy};
 pub use policy::{PaperPolicy, SprayPolicy, TransferPolicy};
 
 use crate::mask::ClusterMask;
-use slots::ValueSlots;
+use slots::ValuePool;
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -63,7 +63,7 @@ use heterowire_frontend::FetchEngine;
 use heterowire_interconnect::{FaultModel, NullFaultModel};
 use heterowire_interconnect::{NetConfig, Topology, Transfer};
 use heterowire_interconnect::{Network, TransferId};
-use heterowire_isa::MicroOp;
+use heterowire_isa::{ArchReg, MicroOp};
 use heterowire_memory::{LoadStoreQueue, LsqRef, MemConfig, MemoryHierarchy};
 use heterowire_telemetry::{NullProbe, Probe};
 use heterowire_trace::TraceGenerator;
@@ -93,8 +93,14 @@ struct Inflight {
     op: MicroOp,
     cluster: usize,
     phase: Phase,
-    /// Producer seq per source (`None` = architected state, always ready).
-    src_producer: [Option<u64>; 2],
+    /// Producer value row per source (`None` = architected state, always
+    /// ready).
+    src_producer: [Option<u32>; 2],
+    /// This op's destination value row (`None` without a destination).
+    dest_row: Option<u32>,
+    /// The row the destination register mapped to before this op renamed
+    /// it; freed when this op commits (see `slots` for the freeing rule).
+    prev_row: Option<u32>,
     /// Cached cycle each source becomes ready in this cluster
     /// (`u64::MAX` = not yet known).
     src_ready: [u64; 2],
@@ -132,7 +138,7 @@ struct Inflight {
 /// one refusal message, from the shared capacity checker) across parse,
 /// construction and `Network::new`. Capacity is otherwise data-driven:
 /// per-value slot rows are sized from the topology's cluster count at
-/// construction (the `processor::slots` table), so this cap only
+/// construction (the `processor::slots` pool), so this cap only
 /// reflects the [`crate::ClusterMask`] width.
 pub const MAX_CLUSTERS: usize = heterowire_interconnect::MAX_SIM_CLUSTERS;
 // The criticality mask is one bit per cluster; widening past it means
@@ -140,6 +146,8 @@ pub const MAX_CLUSTERS: usize = heterowire_interconnect::MAX_SIM_CLUSTERS;
 const _: () = assert!(MAX_CLUSTERS <= crate::ClusterMask::CAPACITY);
 /// Functional-unit kinds per cluster (`FuKind::ALL.len()`).
 const FU_KINDS: usize = 4;
+/// Architectural registers (integer + fp), the rename table's size.
+const ARCH_REGS: usize = ArchReg::total();
 /// End-of-list sentinel for the intrusive waiter lists. Nodes encode
 /// `seq << 1 | source_slot`, so seqs stay below 2^31.
 const NO_WAITER: u32 = u32::MAX;
@@ -159,8 +167,8 @@ struct ValueInfo {
     /// last-arriving (youngest still-pending) operand at dispatch — the
     /// criticality signal completion-time copies hand to the policy.
     /// Per-cluster arrival cycles, waiter-list heads and the ordered
-    /// subscriber list live in the processor-owned [`ValueSlots`] table,
-    /// whose row width is the machine's cluster count.
+    /// subscriber list live next to it in the [`ValuePool`] row, whose
+    /// width is the machine's cluster count.
     critical_subs: ClusterMask,
 }
 
@@ -180,7 +188,7 @@ impl ValueInfo {
 /// What to do when a network transfer is delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    ValueArrive { producer: u64, cluster: usize },
+    ValueArrive { row: u32, cluster: u32 },
     PartialAddr { seq: u64 },
     FullAddr { seq: u64 },
     StoreData { seq: u64 },
@@ -249,14 +257,12 @@ pub struct Processor<
     rob: std::collections::VecDeque<Inflight>,
     rob_base: u64, // seq of rob[0]
     clusters: Vec<ClusterState>,
-    /// Destination-value bookkeeping, indexed directly by seq (seqs are
-    /// dense from 0; `None` for ops without a destination).
-    values: Vec<Option<ValueInfo>>,
-    /// Per-value, per-cluster slot tables (arrivals / waiters /
-    /// subscribers), rows sized to the machine's cluster count and pushed
-    /// in lockstep with `values`.
-    slots: ValueSlots,
-    rename: [Option<u64>; 64],
+    /// Destination values and their per-cluster slots (arrivals / waiters
+    /// / subscribers), in rows recycled like physical registers.
+    values: ValuePool,
+    /// Current producer `(seq, row)` per architectural register (`None` =
+    /// architected state predating the window).
+    rename: [Option<(u64, u32)>; ARCH_REGS],
     /// Delivery action per transfer, indexed by `TransferId` (ids are
     /// assigned densely in send order).
     actions: Vec<Action>,
@@ -425,9 +431,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             rob: std::collections::VecDeque::with_capacity(config.rob_size),
             rob_base: 0,
             clusters: vec![ClusterState::new(); n],
-            values: Vec::new(),
-            slots: ValueSlots::new(n),
-            rename: [None; 64],
+            // Live rows never exceed one per register plus one per ROB
+            // entry (the freeing rule in `slots`).
+            values: ValuePool::new(n, config.rob_size + ARCH_REGS),
+            rename: [None; ARCH_REGS],
             actions: Vec::new(),
             deferred: std::collections::BinaryHeap::new(),
             deferred_seq: 0,

@@ -1,9 +1,10 @@
 //! ROB, value and waiter-list bookkeeping, and commit.
 //!
 //! The ROB is a dense `VecDeque` indexed by `seq - rob_base`; value
-//! records live in a seq-indexed vector so the rename/dispatch path never
-//! hashes. Waiter lists are intrusive singly-linked lists threaded through
-//! the [`Inflight`] entries (see [`super`] for the node encoding).
+//! records live in pooled rows (`slots`) named by rename, so the
+//! rename/dispatch path never hashes. Waiter lists are intrusive
+//! singly-linked lists threaded through the [`Inflight`] entries (see
+//! [`super`] for the node encoding).
 
 use std::cmp::Reverse;
 
@@ -12,7 +13,7 @@ use heterowire_isa::{OpClass, RegClass};
 use heterowire_telemetry::Probe;
 
 use super::policy::TransferPolicy;
-use super::{Inflight, Phase, Processor, ValueInfo, FU_KINDS, IN_FLIGHT, NO_WAITER};
+use super::{Inflight, Phase, Processor, FU_KINDS, IN_FLIGHT, NO_WAITER};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     pub(super) fn rob_get(&self, seq: u64) -> Option<&Inflight> {
@@ -29,48 +30,34 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         self.rob.get_mut((seq - self.rob_base) as usize)
     }
 
-    /// The value record for `producer`, if one was registered.
-    pub(super) fn value(&self, producer: u64) -> Option<&ValueInfo> {
-        self.values.get(producer as usize)?.as_ref()
-    }
-
-    pub(super) fn value_mut(&mut self, producer: u64) -> Option<&mut ValueInfo> {
-        self.values.get_mut(producer as usize)?.as_mut()
-    }
-
-    /// Cycle the value produced by `producer` is usable in `cluster`, if
-    /// known yet.
-    pub(super) fn value_ready_in(&self, producer: u64, cluster: usize) -> Option<u64> {
-        let v = self.value(producer)?;
+    /// Cycle the value in `row` is usable in `cluster`, if known yet.
+    pub(super) fn value_ready_in(&self, row: u32, cluster: usize) -> Option<u64> {
+        let v = self.values.info(row);
         if v.cluster == cluster {
             v.done_at
         } else {
-            let arrival = self.slots.arrival(producer, cluster);
+            let arrival = self.values.arrival(row, cluster);
             (arrival < IN_FLIGHT).then_some(arrival)
         }
     }
 
-    /// Links `seq`'s source `slot` into `producer`'s waiter list for
-    /// `cluster`; [`Processor::wake_waiters`] unlinks it when the value
-    /// becomes usable there.
-    pub(super) fn register_waiter(&mut self, producer: u64, cluster: usize, seq: u64, slot: usize) {
+    /// Links `seq`'s source `slot` into the waiter list of `row`'s value
+    /// for `cluster`; [`Processor::wake_waiters`] unlinks it when the
+    /// value becomes usable there.
+    pub(super) fn register_waiter(&mut self, row: u32, cluster: usize, seq: u64, slot: usize) {
         debug_assert!(seq < (1 << 31), "waiter seqs must fit 31 bits");
         let node = ((seq as u32) << 1) | slot as u32;
-        debug_assert!(self.value(producer).is_some(), "producer value present");
-        let head = self.slots.replace_waiter(producer, cluster, node);
+        let head = self.values.replace_waiter(row, cluster, node);
         self.rob_get_mut(seq).expect("waiter in rob").waiter_next[slot] = head;
     }
 
-    /// Wakes every instruction waiting for `producer`'s value in `cluster`:
+    /// Wakes every instruction waiting for `row`'s value in `cluster`:
     /// issue operands decrement their pending count (reaching 0 enqueues
     /// the instruction on its ready queue), store-data operands enqueue the
     /// store for a data send. Wake order within one event is irrelevant —
     /// both queues restore seq order before use.
-    pub(super) fn wake_waiters(&mut self, producer: u64, cluster: usize) {
-        if self.value(producer).is_none() {
-            return;
-        }
-        let mut node = self.slots.replace_waiter(producer, cluster, NO_WAITER);
+    pub(super) fn wake_waiters(&mut self, row: u32, cluster: usize) {
+        let mut node = self.values.replace_waiter(row, cluster, NO_WAITER);
         while node != NO_WAITER {
             let seq = u64::from(node >> 1);
             let slot = (node & 1) as usize;
@@ -119,6 +106,11 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 } else {
                     cs.regs_int_used = cs.regs_int_used.saturating_sub(1);
                 }
+            }
+            // The destination's previous value is dead: every reader
+            // renamed before this op, so has already committed.
+            if let Some(row) = inst.prev_row {
+                self.values.release(row);
             }
             if inst.op.op().is_mem() {
                 self.lsq.retire_through(seq);

@@ -313,6 +313,33 @@ mod mechanism_tests {
     }
 
     #[test]
+    fn value_pool_is_bounded_by_rob_and_registers() {
+        // Rows are recycled at the overwriter's commit, so the pool's
+        // high-water mark is a property of the machine, not of how many
+        // instructions ran: at most one row per ROB entry plus one per
+        // architectural register. art's cache misses fill the ROB within
+        // the first few thousand instructions, so the mark is reached
+        // early and a 4x longer window must not move it.
+        for topology in [
+            Topology::crossbar4(),
+            Topology::hier16(),
+            Topology::hier_ring(16, 4),
+        ] {
+            let high_water = |window: u64| {
+                let config = ProcessorConfig::for_model(InterconnectModel::X, topology);
+                let trace = TraceGenerator::new(profile::by_name("art").unwrap(), 7);
+                let mut p = Processor::new(config, trace);
+                p.run(window, 500);
+                (p.values.high_water(), p.config.rob_size + ARCH_REGS)
+            };
+            let (short, bound) = high_water(5_000);
+            let (long, _) = high_water(20_000);
+            assert!(short <= bound, "{topology:?}: {short} rows > {bound}");
+            assert_eq!(short, long, "{topology:?}: pool grew with the window");
+        }
+    }
+
+    #[test]
     fn narrower_dispatch_hurts() {
         let mut narrow_cfg =
             ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());

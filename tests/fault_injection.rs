@@ -272,3 +272,18 @@ fn fault_sweep_rejects_malformed_grammar_with_exit_2() {
         "an out-of-range lane must be refused up front"
     );
 }
+
+#[test]
+fn unknown_run_scale_exits_2_naming_the_value() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fault_sweep"))
+        .env("HETEROWIRE_SCALE", "bogus")
+        .output()
+        .expect("spawn fault_sweep");
+    assert_eq!(out.status.code(), Some(2), "a bad scale must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("\"bogus\"") && stderr.contains("expected \"quick\" or \"full\""),
+        "diagnostic must name the value and the choices: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+}
