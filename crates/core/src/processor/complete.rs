@@ -11,13 +11,13 @@ use std::cmp::Reverse;
 
 use heterowire_interconnect::{FaultModel, MessageKind, Node, Transfer, TransferId};
 use heterowire_isa::{OpClass, RegClass};
-use heterowire_memory::LoadStatus;
+use heterowire_memory::{LoadBlockers, LoadStatus};
 use heterowire_telemetry::Probe;
 use heterowire_wires::WireClass;
 
 use super::policy::{CacheReturn, TransferPolicy, ValueCopy};
 use super::wheel::DeferredSend;
-use super::{Action, Phase, Processor, IN_FLIGHT};
+use super::{Action, Phase, Processor, FULL_SCAN, IN_FLIGHT, NO_WAITER, PARTIAL_SCAN};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// Schedules a send for cycle `at` (clamped to the next cycle, matching
@@ -104,6 +104,94 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         self.actions.push(action);
     }
 
+    /// Records a memory op's partial ([`PARTIAL_SCAN`]) or full
+    /// ([`FULL_SCAN`]) address at the LSQ and wakes what the arrival can
+    /// unblock: for a store, the loads whose scans stopped at it; for a
+    /// load, the load itself, which joins the active list on its first
+    /// address. A late partial address of a committed op is dropped.
+    fn deliver_address(&mut self, seq: u64, scan: usize) {
+        let Some(inst) = self.rob_get(seq) else {
+            return;
+        };
+        let op = inst.op;
+        let lref = inst.lsq_ref.expect("memory op has an LSQ handle");
+        let addr = op.addr().expect("memory ops have addresses");
+        let now = self.cycle;
+        if scan == FULL_SCAN {
+            self.lsq.arrive_full_ref(lref, addr, now);
+        } else {
+            self.lsq.arrive_partial_ref(lref, addr, now);
+        }
+        let inst = self.rob_get_mut(seq).expect("in rob");
+        if scan == FULL_SCAN {
+            inst.addr_at_lsq = now;
+        }
+        if op.op() == OpClass::Store {
+            if scan == FULL_SCAN {
+                inst.store_addr_arrived = true;
+                let delay = now.saturating_sub(inst.dispatched_at);
+                let iss = inst.issued_at.saturating_sub(inst.dispatched_at);
+                // Both halves at the LSQ: committable. (The address is
+                // only ever sent after AGEN, so the phase is already
+                // MemPending here.)
+                if inst.store_data_arrived && inst.phase == Phase::MemPending {
+                    inst.phase = Phase::Done;
+                }
+                self.store_addr_delay_sum += delay;
+                self.store_issue_wait_sum += iss;
+                self.store_addr_count += 1;
+                self.wake_lsq_waiters(seq, FULL_SCAN);
+            }
+            // A full address also fills in the partial bits.
+            self.wake_lsq_waiters(seq, PARTIAL_SCAN);
+        } else {
+            inst.lsq_status = None;
+            let newly_at_cache = !std::mem::replace(&mut inst.at_cache, true);
+            self.loads_woken = true;
+            if newly_at_cache {
+                debug_assert!(!self.active_loads.contains(&seq), "load {seq} active twice");
+                self.active_loads.push(seq);
+            }
+        }
+    }
+
+    /// Wakes the loads whose `scan` stopped at `store`: their status must
+    /// be polled again.
+    fn wake_lsq_waiters(&mut self, store: u64, scan: usize) {
+        let head = &mut self.rob_get_mut(store).expect("store in rob").lsq_waiters[scan];
+        let mut node = std::mem::replace(head, NO_WAITER);
+        while node != NO_WAITER {
+            let load = self
+                .rob_get_mut(u64::from(node))
+                .expect("waiting load in rob");
+            node = std::mem::replace(&mut load.lsq_next[scan], NO_WAITER);
+            load.lsq_status = None;
+            self.loads_woken = true;
+        }
+    }
+
+    /// Records a load's poll result and links it into the waiter list of
+    /// each store it now waits on. A blocker unchanged since the last poll
+    /// is still linked: its address has not arrived, or it would have
+    /// woken the load and no scan would stop at it again.
+    fn note_poll(&mut self, seq: u64, status: LoadStatus, blockers: LoadBlockers) {
+        let load = self.rob_get_mut(seq).expect("load in rob");
+        let old = std::mem::replace(&mut load.lsq_blockers, blockers);
+        load.lsq_status = Some(status);
+        for (scan, store, was) in [
+            (FULL_SCAN, blockers.full, old.full),
+            (PARTIAL_SCAN, blockers.partial, old.partial),
+        ] {
+            let Some(store) = store.filter(|&s| Some(s) != was) else {
+                continue;
+            };
+            debug_assert!(seq < (1 << 31), "waiter seqs must fit 31 bits");
+            let head = &mut self.rob_get_mut(store).expect("store in rob").lsq_waiters[scan];
+            let next = std::mem::replace(head, seq as u32);
+            self.rob_get_mut(seq).expect("load in rob").lsq_next[scan] = next;
+        }
+    }
+
     /// Processes everything the network delivered this cycle.
     pub(super) fn process_deliveries(&mut self) {
         let mut delivered = std::mem::take(&mut self.delivered_scratch);
@@ -117,75 +205,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                     self.values.set_arrival(row, cluster, self.cycle);
                     self.wake_waiters(row, cluster);
                 }
-                Action::PartialAddr { seq } => {
-                    let info = self
-                        .rob_get(seq)
-                        .and_then(|i| i.op.addr().map(|a| (a, i.lsq_ref)));
-                    if let Some((addr, lref)) = info {
-                        match lref {
-                            Some(r) => self.lsq.arrive_partial_ref(r, addr, self.cycle),
-                            None => self.lsq.arrive_partial(seq, addr, self.cycle),
-                        }
-                        if let Some(i) = self.rob_get_mut(seq) {
-                            if !i.op.op().is_mem() {
-                                continue;
-                            }
-                            if i.op.op() == OpClass::Load && !i.at_cache {
-                                i.at_cache = true;
-                            } else {
-                                continue;
-                            }
-                        }
-                        if !self.active_loads.contains(&seq) {
-                            self.active_loads.push(seq);
-                        }
-                    }
-                }
-                Action::FullAddr { seq } => {
-                    let (addr, is_store, lref) = match self.rob_get(seq) {
-                        Some(i) => (i.op.addr(), i.op.op() == OpClass::Store, i.lsq_ref),
-                        None => (None, false, None),
-                    };
-                    if let Some(addr) = addr {
-                        let now = self.cycle;
-                        match lref {
-                            Some(r) => self.lsq.arrive_full_ref(r, addr, now),
-                            None => self.lsq.arrive_full(seq, addr, now),
-                        }
-                        if let Some(i) = self.rob_get_mut(seq) {
-                            i.addr_at_lsq = now;
-                        }
-                        if is_store {
-                            let mut delay = 0;
-                            let mut iss = 0;
-                            if let Some(i) = self.rob_get_mut(seq) {
-                                i.store_addr_arrived = true;
-                                delay = now.saturating_sub(i.dispatched_at);
-                                iss = i.issued_at.saturating_sub(i.dispatched_at);
-                                // Both halves at the LSQ: committable. (The
-                                // address is only ever sent after AGEN, so
-                                // the phase is already MemPending here.)
-                                if i.store_data_arrived && i.phase == Phase::MemPending {
-                                    i.phase = Phase::Done;
-                                }
-                            }
-                            self.store_addr_delay_sum += delay;
-                            self.store_issue_wait_sum += iss;
-                            self.store_addr_count += 1;
-                        } else {
-                            let newly = match self.rob_get_mut(seq) {
-                                Some(i) if !i.at_cache => {
-                                    i.at_cache = true;
-                                    true
-                                }
-                                _ => false,
-                            };
-                            if newly && !self.active_loads.contains(&seq) {
-                                self.active_loads.push(seq);
-                            }
-                        }
-                    }
-                }
+                Action::PartialAddr { seq } => self.deliver_address(seq, PARTIAL_SCAN),
+                Action::FullAddr { seq } => self.deliver_address(seq, FULL_SCAN),
                 Action::StoreData { seq } => {
                     if let Some(i) = self.rob_get_mut(seq) {
                         i.store_data_arrived = true;
@@ -363,11 +384,28 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         self.record_action(id, Action::FullAddr { seq });
     }
 
-    /// Advances loads at the cache through disambiguation and RAM access
-    /// (shared by both kernels — the active-load list is already sparse).
-    pub(super) fn progress_memory_loads(&mut self) {
+    /// Advances loads at the cache through disambiguation and RAM access,
+    /// walking the active list in order (shared by both kernels).
+    ///
+    /// The event kernel polls a load's LSQ status only when an input of
+    /// its last status changed — the wake rule of
+    /// [`heterowire_memory::LoadBlockers`]: its own address or a blocking
+    /// store's arrived (`lsq_status` reset to `None` on delivery), or it
+    /// is in partial conflict and a store retired. Any other poll would
+    /// return the same status with no side effect. The reference kernel
+    /// (`poll_all`) polls every active load every cycle, and in debug
+    /// builds checks that the loads the rule leaves asleep kept theirs.
+    pub(super) fn progress_memory_loads(&mut self, poll_all: bool) {
         let cycle = self.cycle;
         let use_partial = self.config.opts.cache_pipeline;
+        debug_assert!(
+            self.lsq.next_event_cycle(cycle).is_none(),
+            "LSQ address stamps are recorded at delivery, never ahead"
+        );
+        let retired = std::mem::take(&mut self.retired_store);
+        if !(poll_all || std::mem::take(&mut self.loads_woken) || retired) {
+            return;
+        }
 
         // Loads at the LSQ/cache.
         let mut i = 0;
@@ -381,16 +419,27 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 i += 1;
                 continue;
             }
+            let last = inst.lsq_status;
+            let woken = last.is_none() || (retired && last == Some(LoadStatus::PartialConflict));
+            if !(woken || poll_all) {
+                i += 1;
+                continue;
+            }
             let addr = inst.op.addr().expect("loads have addresses");
             let cluster = inst.cluster;
             let narrow = inst.op.is_narrow_result();
             let pc = inst.op.pc();
             let ram_start = inst.ram_start;
             let lref = inst.lsq_ref.expect("memory op has an LSQ handle");
-            match self
-                .lsq
-                .load_status_ref_probed(lref, cycle, use_partial, &mut self.probe)
-            {
+            let (status, blockers) =
+                self.lsq
+                    .load_status_and_blockers(lref, cycle, use_partial, &mut self.probe);
+            debug_assert!(
+                woken || last == Some(status),
+                "load {seq} went from {last:?} to {status:?} without a wake-up"
+            );
+            self.note_poll(seq, status, blockers);
+            match status {
                 LoadStatus::PartialReady => {
                     if ram_start.is_none() {
                         self.rob_get_mut(seq).expect("in rob").ram_start = Some(cycle);

@@ -2,10 +2,9 @@
 //! cross-cluster operand copies/subscriptions and event-kernel readiness
 //! registration.
 
-use std::cmp::Reverse;
-
 use heterowire_interconnect::FaultModel;
 use heterowire_isa::{OpClass, RegClass};
+use heterowire_memory::LoadBlockers;
 use heterowire_telemetry::Probe;
 
 use super::policy::TransferPolicy;
@@ -15,7 +14,6 @@ use crate::steer::{ClusterView, ProducerInfo};
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// Dispatches from the fetch queue into the ROB and issue queues.
     pub(super) fn dispatch(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut budget = self.config.dispatch_width;
         while budget > 0 {
             if self.rob.len() >= self.config.rob_size {
@@ -27,7 +25,11 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             let op = fetched.op;
 
             // Gather producer info for steering.
-            scratch.producers.clear();
+            let mut producers = [ProducerInfo {
+                cluster: 0,
+                critical: false,
+            }; 2];
+            let mut n_producers = 0;
             let mut src_producer = [None; 2];
             // `(seq, row)` of the youngest producer still executing.
             let mut youngest_pending: Option<(u64, u32)> = None;
@@ -41,45 +43,45 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 if v.done_at.is_none() && youngest_pending.is_none_or(|(y, _)| p > y) {
                     youngest_pending = Some((p, row));
                 }
-                scratch.producers.push(ProducerInfo {
+                producers[n_producers] = ProducerInfo {
                     cluster: v.cluster,
                     critical: false,
-                });
+                };
+                n_producers += 1;
             }
+            let producers = &mut producers[..n_producers];
             let youngest_row = youngest_pending.map(|(_, row)| row);
             // Mark the youngest still-pending producer as critical.
             if let Some(y) = youngest_row {
                 let yc = self.values.info(y).cluster;
-                if let Some(pi) = scratch.producers.iter_mut().find(|pi| pi.cluster == yc) {
+                if let Some(pi) = producers.iter_mut().find(|pi| pi.cluster == yc) {
                     pi.critical = true;
                 }
             }
 
-            // Resource views.
+            // Steer in one pass over the clusters' resource state.
             let is_fp_q = op.op().is_fp();
-            scratch.views.clear();
-            scratch.views.extend(self.clusters.iter().map(|c| {
-                let free_iq = if is_fp_q {
-                    self.config.iq_per_cluster - c.iq_fp_used
-                } else {
-                    self.config.iq_per_cluster - c.iq_int_used
-                };
-                let free_regs = match op.dest() {
-                    None => usize::MAX,
-                    Some(d) if d.class() == RegClass::Fp => {
-                        self.config.regs_per_cluster - c.regs_fp_used
+            let dest_fp = op.dest().map(|d| d.class() == RegClass::Fp);
+            let (iq_cap, regs_cap) = (self.config.iq_per_cluster, self.config.regs_per_cluster);
+            let clusters = &self.clusters;
+            let chosen = self
+                .steering
+                .choose_with(op.op() == OpClass::Load, producers, |c| {
+                    let cs = &clusters[c];
+                    let iq_used = if is_fp_q {
+                        cs.iq_fp_used
+                    } else {
+                        cs.iq_int_used
+                    };
+                    ClusterView {
+                        free_iq: iq_cap - iq_used,
+                        free_regs: match dest_fp {
+                            None => usize::MAX,
+                            Some(true) => regs_cap - cs.regs_fp_used,
+                            Some(false) => regs_cap - cs.regs_int_used,
+                        },
                     }
-                    Some(_) => self.config.regs_per_cluster - c.regs_int_used,
-                };
-                ClusterView { free_iq, free_regs }
-            }));
-
-            let chosen = self.steering.choose_into(
-                op.op() == OpClass::Load,
-                &scratch.producers,
-                &scratch.views,
-                &mut scratch.scores,
-            );
+                });
             if P::ENABLED {
                 self.probe.steer_decision(self.cycle, chosen);
             }
@@ -169,6 +171,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 issued_at: 0,
                 ram_start: None,
                 at_cache: false,
+                lsq_status: None,
+                lsq_blockers: LoadBlockers::default(),
+                lsq_next: [NO_WAITER; 2],
+                lsq_waiters: [NO_WAITER; 2],
                 addr_at_lsq: 0,
                 lsq_ref,
                 agen_done: false,
@@ -199,7 +205,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             }
             self.rob_get_mut(seq).expect("just pushed").pending_srcs = pending;
             if pending == 0 {
-                self.ready_queues[cluster * FU_KINDS + op.op().unit().index()].push(Reverse(seq));
+                self.ready
+                    .push(cluster * FU_KINDS + op.op().unit().index(), seq);
             }
             // Store data operand (slot 1) feeds the data-send queue, not
             // the issue queue.
@@ -212,6 +219,5 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 }
             }
         }
-        self.scratch = scratch;
     }
 }

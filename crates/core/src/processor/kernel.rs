@@ -108,41 +108,39 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         }
     }
 
-    /// Event kernel: pops the oldest known-ready instruction per (cluster,
-    /// FU kind) ready queue — exactly the instruction the reference scan
-    /// would pick — and schedules its completion on the wheel.
+    /// Event kernel: pops the oldest known-ready instruction per non-empty
+    /// (cluster, FU kind) ready queue whose unit is free — exactly the
+    /// instruction the reference scan would pick — and schedules its
+    /// completion on the wheel.
     fn issue_event(&mut self) {
         let cycle = self.cycle;
-        for cluster in 0..self.clusters.len() {
-            for kind in 0..FU_KINDS {
-                if self.clusters[cluster].fu_free[kind] > cycle {
-                    continue;
-                }
-                let Some(Reverse(seq)) = self.ready_queues[cluster * FU_KINDS + kind].pop() else {
-                    continue;
-                };
-                let op = self.rob_get(seq).expect("ready instr in rob").op;
-                debug_assert_eq!(op.op().unit().index(), kind);
-                let latency = op.op().latency() as u64;
-                let cs = &mut self.clusters[cluster];
-                cs.fu_free[kind] = if op.op().pipelined() {
-                    cycle + 1
-                } else {
-                    cycle + latency
-                };
-                if op.op().is_fp() {
-                    cs.iq_fp_used = cs.iq_fp_used.saturating_sub(1);
-                } else {
-                    cs.iq_int_used = cs.iq_int_used.saturating_sub(1);
-                }
-                let inst = self.rob_get_mut(seq).expect("ready instr in rob");
-                inst.phase = Phase::Executing(cycle + latency);
-                inst.issued_at = cycle;
-                if P::ENABLED {
-                    self.probe.issue(cycle, seq, cluster);
-                }
-                self.wheel.schedule(cycle, cycle + latency, seq);
+        for queue in self.ready.nonempty() {
+            let (cluster, kind) = (queue / FU_KINDS, queue % FU_KINDS);
+            if self.clusters[cluster].fu_free[kind] > cycle {
+                continue;
             }
+            let seq = self.ready.pop(queue).expect("non-empty ready queue");
+            let op = self.rob_get(seq).expect("ready instr in rob").op;
+            debug_assert_eq!(op.op().unit().index(), kind);
+            let latency = op.op().latency() as u64;
+            let cs = &mut self.clusters[cluster];
+            cs.fu_free[kind] = if op.op().pipelined() {
+                cycle + 1
+            } else {
+                cycle + latency
+            };
+            if op.op().is_fp() {
+                cs.iq_fp_used = cs.iq_fp_used.saturating_sub(1);
+            } else {
+                cs.iq_int_used = cs.iq_int_used.saturating_sub(1);
+            }
+            let inst = self.rob_get_mut(seq).expect("ready instr in rob");
+            inst.phase = Phase::Executing(cycle + latency);
+            inst.issued_at = cycle;
+            if P::ENABLED {
+                self.probe.issue(cycle, seq, cluster);
+            }
+            self.wheel.schedule(cycle, cycle + latency, seq);
         }
     }
 
@@ -231,12 +229,14 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// The earliest future cycle at which anything can happen, bounded by
     /// `cap` (the cycle where the deadlock detector must fire). Every term
     /// mirrors one way the reference loop's cycle body can act: a
-    /// committable ROB head, dispatchable fetch-queue entries, a fetch /
-    /// network / LSQ event, a deferred send, a wheel completion, a ready
+    /// committable ROB head, dispatchable fetch-queue entries, a fetch or
+    /// network event, a deferred send, a wheel completion, a ready
     /// instruction waiting on its FU, pending store-data sends, or a store
-    /// retirement that may re-disambiguate a waiting load. The network term
-    /// is exact and O(1): pending arbitration means next cycle, otherwise
-    /// the indexed engine reads the earliest delivery off its wheel.
+    /// retirement that may re-disambiguate a waiting load. (LSQ address
+    /// stamps are never in the future, so they add no term.) The network
+    /// term is exact and O(1): pending arbitration means next cycle,
+    /// otherwise the indexed engine reads the earliest delivery off its
+    /// wheel.
     fn next_event_cycle(&self, cap: u64) -> u64 {
         let now = self.cycle;
         let soon = now + 1;
@@ -260,15 +260,9 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         if let Some(c) = self.wheel.next_due() {
             next = next.min(c.max(soon));
         }
-        for (idx, q) in self.ready_queues.iter().enumerate() {
-            if q.is_empty() {
-                continue;
-            }
-            let fu_free = self.clusters[idx / FU_KINDS].fu_free[idx % FU_KINDS];
+        for queue in self.ready.nonempty() {
+            let fu_free = self.clusters[queue / FU_KINDS].fu_free[queue % FU_KINDS];
             next = next.min(fu_free.max(soon));
-        }
-        if let Some(c) = self.lsq.next_event_cycle(now) {
-            next = next.min(c);
         }
         next.max(soon)
     }
@@ -291,7 +285,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
 
         while self.committed < target {
             self.cycle += 1;
-            self.retired_store = false;
             // An empty-pending tick is a no-op (no departures, no stats, no
             // probe events), so skip the call entirely; the network's
             // monotonic-cycle contract allows gaps.
@@ -304,7 +297,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 Kernel::Event => self.complete_execution_event(),
                 Kernel::Reference => self.complete_execution_scan(),
             }
-            self.progress_memory_loads();
+            self.progress_memory_loads(kernel == Kernel::Reference);
             match kernel {
                 Kernel::Event => self.progress_memory_stores_event(),
                 Kernel::Reference => self.progress_memory_stores_scan(),
@@ -319,9 +312,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if P::ENABLED {
                 // Once per *executed* cycle — skipped idle cycles are not
                 // sampled, so histograms weight active cycles only.
-                let ready: usize = self.ready_queues.iter().map(|q| q.len()).sum();
                 self.probe
-                    .occupancy(self.cycle, self.rob.len(), self.lsq.len(), ready);
+                    .occupancy(self.cycle, self.rob.len(), self.lsq.len(), self.ready.len());
             }
 
             if !warm_done && self.committed >= warmup {

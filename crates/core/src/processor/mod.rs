@@ -32,12 +32,16 @@
 //!
 //! * the **event-driven kernel** ([`Processor::run`]) — a completion wheel
 //!   pops instructions the cycle they finish executing, wakeup lists feed
-//!   per-(cluster, FU) ready queues so issue never scans the ROB, store
-//!   data is sent by subscription, and the loop jumps over cycles in which
-//!   provably nothing can happen;
+//!   per-(cluster, FU) ready queues so issue never scans the ROB (and
+//!   visits only the non-empty queues), store data is sent by
+//!   subscription, a waiting load is re-polled at the LSQ only when its
+//!   own address or a store it waits on arrives (or, in partial conflict,
+//!   a store retires), and the loop jumps over cycles in which provably
+//!   nothing can happen;
 //! * the **cycle-driven reference kernel** ([`Processor::run_reference`]) —
-//!   the seed's original full-ROB scans, kept so equivalence tests can
-//!   assert the event-driven kernel is bit-identical.
+//!   the seed's original full-ROB scans, polling every waiting load every
+//!   cycle, kept so equivalence tests can assert the event-driven kernel
+//!   is bit-identical.
 
 mod complete;
 mod dispatch;
@@ -64,16 +68,17 @@ use heterowire_interconnect::{FaultModel, NullFaultModel};
 use heterowire_interconnect::{NetConfig, Topology, Transfer};
 use heterowire_interconnect::{Network, TransferId};
 use heterowire_isa::{ArchReg, MicroOp};
-use heterowire_memory::{LoadStoreQueue, LsqRef, MemConfig, MemoryHierarchy};
+use heterowire_memory::{LoadBlockers, LoadStatus, LoadStoreQueue, LsqRef};
+use heterowire_memory::{MemConfig, MemoryHierarchy};
 use heterowire_telemetry::{NullProbe, Probe};
 use heterowire_trace::TraceGenerator;
 use heterowire_wires::WireClass;
 
 use crate::config::ProcessorConfig;
 use crate::results::SimResults;
-use crate::steer::{ClusterView, ProducerInfo, Steering, SteeringWeights};
+use crate::steer::{Steering, SteeringWeights};
 
-use wheel::{CompletionWheel, DeferredSend};
+use wheel::{CompletionWheel, DeferredSend, ReadyQueues};
 
 /// Execution phase of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +118,18 @@ struct Inflight {
     ram_start: Option<u64>,
     /// Loads: registered in the at-cache active list.
     at_cache: bool,
+    /// Loads: the status of the last LSQ poll, `None` once an input of it
+    /// changed (the wake rule in `progress_memory_loads`).
+    lsq_status: Option<LoadStatus>,
+    /// Loads: the stores the last poll waits on; the load is linked into
+    /// their `lsq_waiters` lists.
+    lsq_blockers: LoadBlockers,
+    /// Loads: intrusive link per scan ([`FULL_SCAN`], [`PARTIAL_SCAN`]) in
+    /// the blocking store's `lsq_waiters` list ([`NO_WAITER`] = end).
+    lsq_next: [u32; 2],
+    /// Stores: heads of the lists of loads whose full / partial scan
+    /// stopped at this store, woken when the address arrives.
+    lsq_waiters: [u32; 2],
     /// Loads/stores: cycle the full address reached the LSQ (statistics).
     addr_at_lsq: u64,
     /// Loads/stores: O(1) handle to this op's LSQ entry.
@@ -148,9 +165,14 @@ const _: () = assert!(MAX_CLUSTERS <= crate::ClusterMask::CAPACITY);
 const FU_KINDS: usize = 4;
 /// Architectural registers (integer + fp), the rename table's size.
 const ARCH_REGS: usize = ArchReg::total();
-/// End-of-list sentinel for the intrusive waiter lists. Nodes encode
-/// `seq << 1 | source_slot`, so seqs stay below 2^31.
+/// End-of-list sentinel for the intrusive waiter lists. Value-waiter nodes
+/// encode `seq << 1 | source_slot` (LSQ-waiter nodes the load's seq), so
+/// seqs stay below 2^31.
 const NO_WAITER: u32 = u32::MAX;
+/// Scan index of the full-address scan in the LSQ waiter links.
+const FULL_SCAN: usize = 0;
+/// Scan index of the partial-address scan in the LSQ waiter links.
+const PARTIAL_SCAN: usize = 1;
 /// Arrival-slot sentinel: no copy was ever sent to this cluster.
 const NOT_SENT: u64 = u64::MAX;
 /// Arrival-slot sentinel: a copy is in flight, arrival cycle unknown.
@@ -217,16 +239,6 @@ impl ClusterState {
     }
 }
 
-/// Reusable buffers for the per-instruction dispatch path. Taken out of
-/// the processor with `mem::take` for the duration of `dispatch()` (so the
-/// borrow checker sees them as locals) and put back afterwards.
-#[derive(Debug, Default)]
-struct DispatchScratch {
-    producers: Vec<ProducerInfo>,
-    views: Vec<ClusterView>,
-    scores: Vec<i64>,
-}
-
 /// The processor simulator. Create with [`Processor::new`], run with
 /// [`Processor::run`].
 ///
@@ -270,24 +282,27 @@ pub struct Processor<
     deferred: std::collections::BinaryHeap<Reverse<DeferredSend>>,
     /// Insertion counter for [`DeferredSend::dseq`].
     deferred_seq: u64,
+    /// Loads at the LSQ/cache, in the order `progress_memory_loads` walks
+    /// them.
     active_loads: Vec<u64>,
+    /// Some active load's status input changed since the last walk.
+    loads_woken: bool,
 
     // Event-kernel scheduling state. The wakeup structures (ready queues,
-    // store-data list) are maintained by the shared dispatch/delivery/
-    // completion paths in both kernels; only the event kernel consumes
-    // them. The wheel is fed by `issue_event` alone.
+    // store-data list, LSQ waiter lists) are maintained by the shared
+    // dispatch/delivery/completion paths in both kernels; only the event
+    // kernel consumes them. The wheel is fed by `issue_event` alone.
     wheel: CompletionWheel,
-    /// Min-heap of known-ready waiting instructions per (cluster, FU kind),
-    /// indexed `cluster * FU_KINDS + kind`.
-    ready_queues: Vec<std::collections::BinaryHeap<Reverse<u64>>>,
+    /// Known-ready waiting instructions per (cluster, FU kind).
+    ready: ReadyQueues,
     /// Stores whose data operand became ready (drained in seq order).
     store_data_pending: Vec<u32>,
-    /// A store committed this cycle: LSQ disambiguation of waiting loads
-    /// may change at the next cycle's poll, so it must not be skipped.
+    /// A store committed since the last `progress_memory_loads`: waiting
+    /// loads' disambiguation may change, so the next cycle must not be
+    /// skipped and partially conflicting loads must be polled.
     retired_store: bool,
 
     // Reusable per-cycle buffers (steady-state hot path allocates nothing).
-    scratch: DispatchScratch,
     fu_started: Vec<[bool; 4]>,
     finished_scratch: Vec<u64>,
     store_send_scratch: Vec<(u64, usize)>,
@@ -439,13 +454,11 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             deferred: std::collections::BinaryHeap::new(),
             deferred_seq: 0,
             active_loads: Vec::new(),
+            loads_woken: false,
             wheel: CompletionWheel::new(),
-            ready_queues: (0..n * FU_KINDS)
-                .map(|_| std::collections::BinaryHeap::new())
-                .collect(),
+            ready: ReadyQueues::new(n * FU_KINDS),
             store_data_pending: Vec::new(),
             retired_store: false,
-            scratch: DispatchScratch::default(),
             fu_started: vec![[false; 4]; n],
             finished_scratch: Vec::new(),
             store_send_scratch: Vec::new(),

@@ -6,8 +6,6 @@
 //! singly-linked lists threaded through the [`Inflight`] entries (see
 //! [`super`] for the node encoding).
 
-use std::cmp::Reverse;
-
 use heterowire_interconnect::FaultModel;
 use heterowire_isa::{OpClass, RegClass};
 use heterowire_telemetry::Probe;
@@ -76,7 +74,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if store_data {
                 self.store_data_pending.push(seq as u32);
             } else if ready {
-                self.ready_queues[rq].push(Reverse(seq));
+                self.ready.push(rq, seq);
             }
         }
     }
@@ -118,9 +116,12 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if inst.op.op() == OpClass::Store {
                 let addr = inst.op.addr().expect("stores have addresses");
                 self.memory.store(addr, cycle);
-                // Retiring a store can unblock a waiting load's
-                // disambiguation without any network event; the skipper
-                // must poll the LSQ next cycle.
+                // Its address arrived before it could complete, waking
+                // every load that waited on it.
+                debug_assert_eq!(inst.lsq_waiters, [NO_WAITER; 2], "store {seq}");
+                // Retiring a store can resolve a waiting load's partial
+                // conflict without any network event; the skipper must
+                // poll the LSQ next cycle.
                 self.retired_store = true;
             }
         }

@@ -1,8 +1,12 @@
-//! Event-time data structures: the completion wheel and deferred sends.
+//! Event-time data structures: the completion wheel, the ready queues and
+//! deferred sends.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use heterowire_interconnect::Transfer;
 
-use super::Action;
+use super::{Action, FU_KINDS, MAX_CLUSTERS};
 
 /// A send scheduled for a future cycle (e.g. cache data that becomes
 /// available when the RAM access finishes).
@@ -108,5 +112,66 @@ impl CompletionWheel {
     /// The earliest scheduled completion cycle, if any.
     pub(super) fn next_due(&self) -> Option<u64> {
         (self.scheduled > 0).then_some(self.earliest)
+    }
+}
+
+/// Words in the non-empty mask: one bit per ready queue at the cluster cap.
+const READY_WORDS: usize = (MAX_CLUSTERS * FU_KINDS).div_ceil(64);
+
+/// Min-heaps of known-ready waiting instructions, one per (cluster, FU
+/// kind) and indexed `cluster * FU_KINDS + kind`, plus a bitmask of the
+/// non-empty ones. Issue and the idle-cycle skipper visit only the set
+/// bits, in ascending index order — the order of a scan over all queues.
+#[derive(Debug)]
+pub(super) struct ReadyQueues {
+    heaps: Vec<BinaryHeap<Reverse<u64>>>,
+    /// Bit `i` is set exactly while `heaps[i]` is non-empty.
+    nonempty: [u64; READY_WORDS],
+}
+
+impl ReadyQueues {
+    pub(super) fn new(queues: usize) -> Self {
+        assert!(queues <= READY_WORDS * 64, "{queues} ready queues");
+        ReadyQueues {
+            heaps: (0..queues).map(|_| BinaryHeap::new()).collect(),
+            nonempty: [0; READY_WORDS],
+        }
+    }
+
+    pub(super) fn push(&mut self, queue: usize, seq: u64) {
+        self.heaps[queue].push(Reverse(seq));
+        self.nonempty[queue / 64] |= 1 << (queue % 64);
+    }
+
+    /// Pops the oldest instruction of `queue`.
+    pub(super) fn pop(&mut self, queue: usize) -> Option<u64> {
+        let Reverse(seq) = self.heaps[queue].pop()?;
+        if self.heaps[queue].is_empty() {
+            self.nonempty[queue / 64] &= !(1 << (queue % 64));
+        }
+        Some(seq)
+    }
+
+    /// The non-empty queues as of this call, in ascending index order.
+    /// The iterator owns a copy of the mask, so the queues may be popped
+    /// while it runs.
+    pub(super) fn nonempty(&self) -> impl Iterator<Item = usize> {
+        let words = self.nonempty;
+        (0..READY_WORDS).flat_map(move |w| {
+            let mut bits = words[w];
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(w * 64 + b)
+            })
+        })
+    }
+
+    /// Instructions across all queues.
+    pub(super) fn len(&self) -> usize {
+        self.heaps.iter().map(BinaryHeap::len).sum()
     }
 }

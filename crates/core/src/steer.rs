@@ -63,99 +63,138 @@ impl ClusterView {
     }
 }
 
+/// Where a cluster sits, tabulated once per topology.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    /// The cluster's quad; quads are contiguous runs of cluster indices.
+    quad: usize,
+    /// True if the cluster is adjacent to the centralized data cache.
+    cache_adjacent: bool,
+}
+
 /// The steering engine.
 #[derive(Debug, Clone)]
 pub struct Steering {
     weights: SteeringWeights,
-    topology: Topology,
+    /// One entry per cluster of the topology.
+    sites: Vec<Site>,
 }
 
 impl Steering {
     /// Creates a steering engine for `topology` with the given weights.
     pub fn new(topology: Topology, weights: SteeringWeights) -> Self {
-        Steering { weights, topology }
+        let sites: Vec<Site> = (0..topology.clusters())
+            .map(|c| Site {
+                quad: topology.quad_of(c),
+                cache_adjacent: topology.cache_adjacent(c),
+            })
+            .collect();
+        debug_assert!(
+            sites.windows(2).all(|w| w[0].quad <= w[1].quad),
+            "quads must be contiguous cluster ranges"
+        );
+        Steering { weights, sites }
     }
 
-    /// Scores every cluster for an instruction into `out` (cleared first).
-    fn scores_into(
+    /// Scores cluster `c` for an instruction: its producers, its free
+    /// issue-queue slots and, for a load next to the cache, proximity.
+    fn score(
         &self,
-        is_load: bool,
+        c: usize,
+        free_iq: usize,
+        load_near_cache: bool,
         producers: &[ProducerInfo],
-        clusters: &[ClusterView],
-        out: &mut Vec<i64>,
-    ) {
+    ) -> i64 {
         let w = &self.weights;
-        out.clear();
-        out.extend((0..clusters.len()).map(|c| {
-            let mut score = 0;
-            for p in producers {
-                if p.cluster == c {
-                    score += w.dependence;
-                    if p.critical {
-                        score += w.critical;
-                    }
+        let mut score = (free_iq as i64).min(w.free_cap) * w.free_slot;
+        for p in producers {
+            if p.cluster == c {
+                score += w.dependence;
+                if p.critical {
+                    score += w.critical;
                 }
             }
-            score += (clusters[c].free_iq as i64).min(w.free_cap) * w.free_slot;
-            if is_load && self.topology.cache_adjacent(c) {
-                score += w.cache_proximity;
-            }
-            score
-        }));
+        }
+        if load_near_cache {
+            score += w.cache_proximity;
+        }
+        score
     }
 
     /// Chooses the cluster for an instruction, or `None` if no cluster has
-    /// free resources (dispatch must stall). Allocating convenience form of
-    /// [`Steering::choose_into`].
+    /// free resources (dispatch must stall).
     ///
     /// # Panics
     ///
-    /// Panics if `clusters` is empty or does not match the topology.
+    /// Panics if `clusters` does not match the topology.
     pub fn choose(
         &self,
         is_load: bool,
         producers: &[ProducerInfo],
         clusters: &[ClusterView],
     ) -> Option<usize> {
-        let mut scratch = Vec::with_capacity(clusters.len());
-        self.choose_into(is_load, producers, clusters, &mut scratch)
+        assert_eq!(
+            clusters.len(),
+            self.sites.len(),
+            "cluster view must cover the topology"
+        );
+        self.choose_with(is_load, producers, |c| clusters[c])
     }
 
-    /// [`Steering::choose`] with a caller-provided score buffer, so the
-    /// per-instruction dispatch path performs no heap allocation.
+    /// [`Steering::choose`] reading each cluster's resources through
+    /// `view`, which is called once per cluster in index order — one pass,
+    /// with nothing buffered, so dispatch hands over its live state.
     ///
-    /// # Panics
-    ///
-    /// Panics if `clusters` is empty or does not match the topology.
-    pub fn choose_into(
+    /// The pass keeps running bests as `(score, cluster)`, replaced only
+    /// by a strictly higher score, so ties go to the lower index. The
+    /// ideal cluster is the best overall. If it lacks resources, the
+    /// fallback is the best cluster with resources in the ideal's quad,
+    /// else the best with resources anywhere. Quads are contiguous, so the
+    /// best of the ideal's quad is the running best of the quad being
+    /// scanned whenever the ideal lies in it, and frozen once the scan
+    /// leaves it.
+    pub fn choose_with(
         &self,
         is_load: bool,
         producers: &[ProducerInfo],
-        clusters: &[ClusterView],
-        scratch: &mut Vec<i64>,
+        mut view: impl FnMut(usize) -> ClusterView,
     ) -> Option<usize> {
-        assert_eq!(
-            clusters.len(),
-            self.topology.clusters(),
-            "cluster view must cover the topology"
-        );
-        self.scores_into(is_load, producers, clusters, scratch);
-        let scores = &*scratch;
-        // Ideal cluster by score (ties -> lower index for determinism).
-        let ideal = (0..clusters.len())
-            .max_by_key(|&c| (scores[c], std::cmp::Reverse(c)))
-            .expect("at least one cluster");
-        if clusters[ideal].has_resources() {
+        let better = |best: Option<(i64, usize)>, s: i64| best.is_none_or(|(b, _)| s > b);
+        let mut ideal: Option<(i64, usize)> = None;
+        let mut ideal_ok = false;
+        let mut ideal_quad = usize::MAX;
+        let mut quad = usize::MAX;
+        let mut quad_best = None;
+        let mut ideal_quad_best = None;
+        let mut any_best = None;
+        for (c, site) in self.sites.iter().enumerate() {
+            let v = view(c);
+            let s = self.score(c, v.free_iq, is_load && site.cache_adjacent, producers);
+            if site.quad != quad {
+                quad = site.quad;
+                quad_best = None;
+            }
+            let ok = v.has_resources();
+            if ok && better(quad_best, s) {
+                quad_best = Some((s, c));
+            }
+            if ok && better(any_best, s) {
+                any_best = Some((s, c));
+            }
+            if better(ideal, s) {
+                ideal = Some((s, c));
+                ideal_ok = ok;
+                ideal_quad = quad;
+            }
+            if ideal_quad == quad {
+                ideal_quad_best = quad_best;
+            }
+        }
+        let (_, ideal) = ideal.expect("at least one cluster");
+        if ideal_ok {
             return Some(ideal);
         }
-        // Nearest cluster with resources: same quad first, then by score.
-        let ideal_quad = self.topology.quad_of(ideal);
-        (0..clusters.len())
-            .filter(|&c| clusters[c].has_resources())
-            .max_by_key(|&c| {
-                let same_quad = self.topology.quad_of(c) == ideal_quad;
-                (same_quad, scores[c], std::cmp::Reverse(c))
-            })
+        ideal_quad_best.or(any_best).map(|(_, c)| c)
     }
 }
 

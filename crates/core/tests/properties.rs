@@ -42,19 +42,72 @@ fn steering_respects_resources() {
     }
 }
 
-/// `choose` and the scratch-buffer `choose_into` agree on randomized
-/// inputs for both topologies (the simulator hot path uses the latter).
+/// The §4 steering heuristic written as three plain passes over the
+/// clusters — score every cluster, take the best, fall back to the best
+/// resourced cluster preferring the ideal's quad — with the topology
+/// answering quad and cache adjacency per call. The oracle for the
+/// production one-pass chooser. Returns `(ideal, choice)`.
+fn three_pass_choose(
+    topology: Topology,
+    w: SteeringWeights,
+    is_load: bool,
+    producers: &[ProducerInfo],
+    views: &[ClusterView],
+) -> (usize, Option<usize>) {
+    let scores: Vec<i64> = (0..views.len())
+        .map(|c| {
+            let mut score = 0;
+            for p in producers.iter().filter(|p| p.cluster == c) {
+                score += w.dependence + if p.critical { w.critical } else { 0 };
+            }
+            score += (views[c].free_iq as i64).min(w.free_cap) * w.free_slot;
+            if is_load && topology.cache_adjacent(c) {
+                score += w.cache_proximity;
+            }
+            score
+        })
+        .collect();
+    let ideal = (0..views.len())
+        .max_by_key(|&c| (scores[c], std::cmp::Reverse(c)))
+        .expect("at least one cluster");
+    if views[ideal].has_resources() {
+        return (ideal, Some(ideal));
+    }
+    let quad = topology.quad_of(ideal);
+    let fallback = (0..views.len())
+        .filter(|&c| views[c].has_resources())
+        .max_by_key(|&c| (topology.quad_of(c) == quad, scores[c], std::cmp::Reverse(c)));
+    (ideal, fallback)
+}
+
+/// Production steering picks exactly the three-pass oracle's cluster on
+/// randomized cluster state, from the paper's shapes to 64 clusters:
+/// loads, critical producers, and ideal clusters stripped of resources so
+/// the same-quad and any-quad fallbacks both run.
 #[test]
-fn choose_into_matches_choose() {
+fn steering_matches_three_pass_oracle() {
     let mut rng = SmallRng::seed_from_u64(0xc04e_0006);
-    let mut scratch = Vec::new();
-    for topology in [Topology::crossbar4(), Topology::hier16()] {
-        let s = Steering::new(topology, SteeringWeights::default());
+    let w = SteeringWeights::default();
+    for topology in [
+        Topology::crossbar4(),
+        Topology::hier16(),
+        Topology::hier_ring(16, 4),
+        Topology::crossbar(64),
+    ] {
+        let s = Steering::new(topology, w);
         let n = topology.clusters();
-        for _ in 0..CASES {
-            let views: Vec<ClusterView> = (0..n)
+        let (mut fallbacks, mut other_quad, mut stalls) = (0, 0, 0);
+        for case in 0..4 * CASES {
+            // Sparse resources in some cases, so whole quads (or the
+            // whole machine) run dry.
+            let empty = [0.1, 0.5, 0.9, 1.0][case % 4];
+            let mut views: Vec<ClusterView> = (0..n)
                 .map(|_| ClusterView {
-                    free_iq: rng.gen_range(0usize..6),
+                    free_iq: if rng.gen_bool(empty) {
+                        0
+                    } else {
+                        rng.gen_range(1usize..12)
+                    },
                     free_regs: if rng.gen_bool(0.2) {
                         usize::MAX
                     } else {
@@ -62,18 +115,41 @@ fn choose_into_matches_choose() {
                     },
                 })
                 .collect();
-            let mut producers = Vec::new();
-            for _ in 0..rng.gen_range(0usize..3) {
-                producers.push(ProducerInfo {
+            let producers: Vec<ProducerInfo> = (0..rng.gen_range(0usize..3))
+                .map(|_| ProducerInfo {
                     cluster: rng.gen_range(0..n),
                     critical: rng.gen_bool(0.5),
-                });
+                })
+                .collect();
+            let is_load = rng.gen_bool(0.4);
+            if rng.gen_bool(0.5) {
+                // Out of registers: same score, so still the ideal.
+                let (ideal, _) = three_pass_choose(topology, w, is_load, &producers, &views);
+                views[ideal].free_regs = 0;
             }
-            let is_load = rng.gen_bool(0.3);
-            let a = s.choose(is_load, &producers, &views);
-            let b = s.choose_into(is_load, &producers, &views, &mut scratch);
-            assert_eq!(a, b, "views {views:?} producers {producers:?}");
+            let (ideal, want) = three_pass_choose(topology, w, is_load, &producers, &views);
+            match want {
+                Some(c) if c != ideal => {
+                    fallbacks += 1;
+                    if topology.quad_of(c) != topology.quad_of(ideal) {
+                        other_quad += 1;
+                    }
+                }
+                None => stalls += 1,
+                _ => {}
+            }
+            assert_eq!(
+                s.choose(is_load, &producers, &views),
+                want,
+                "{topology:?}: load {is_load}, producers {producers:?}, views {views:?}"
+            );
         }
+        assert!(fallbacks > CASES / 4, "{topology:?}: {fallbacks} fallbacks");
+        assert!(
+            topology.quads() == 1 || other_quad > 0,
+            "{topology:?}: no fallback left the ideal's quad"
+        );
+        assert!(stalls > 0, "{topology:?}: no stall case");
     }
 }
 

@@ -34,6 +34,6 @@ pub mod tlb;
 
 pub use cache::Cache;
 pub use hierarchy::{MemConfig, MemStats, MemoryHierarchy};
-pub use lsq::{LoadStatus, LoadStoreQueue, LsqRef, LsqStats};
+pub use lsq::{LoadBlockers, LoadStatus, LoadStoreQueue, LsqRef, LsqStats};
 pub use pipeline::CachePipelineParams;
 pub use tlb::Tlb;

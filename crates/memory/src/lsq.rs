@@ -34,6 +34,30 @@ pub enum LoadStatus {
     PartialConflict,
 }
 
+/// The older stores a load's status poll stopped at, one per scan.
+///
+/// This is the wake-up contract for callers that re-poll a load only when
+/// an input of its last status changed. Given that address stamps are
+/// never later than the poll cycle, that arrivals are first-write-wins,
+/// that a store retires only after its full address arrived, and that
+/// retirement is in order (no mid-queue [`LoadStoreQueue::remove`]), a
+/// load's status stays what the last poll returned until one of these
+/// happens:
+///
+/// * the load's own partial or full address arrives;
+/// * the store in `full` receives its full address;
+/// * the store in `partial` receives its partial (or full) address;
+/// * for [`LoadStatus::PartialConflict`] only, a store retires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LoadBlockers {
+    /// Seq of the store whose unknown full address stopped the
+    /// full-address scan.
+    pub full: Option<u64>,
+    /// Seq of the store whose unknown partial address stopped the
+    /// partial-address scan.
+    pub partial: Option<u64>,
+}
+
 /// LSQ statistics, including the false-dependence counters of §5.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LsqStats {
@@ -119,6 +143,8 @@ pub struct LoadStoreQueue {
     /// present gids non-consecutive, disabling the O(1) gid arithmetic
     /// (cleared once the queue drains empty).
     holes: bool,
+    /// Largest `retire_through` bound so far (retirement is in order).
+    retired_through: u64,
 }
 
 /// Byte address → word (8-byte) granule, the conflict-detection granularity.
@@ -142,6 +168,7 @@ impl LoadStoreQueue {
             latest_stamp: 0,
             next_gid: 0,
             holes: false,
+            retired_through: 0,
         }
     }
 
@@ -233,9 +260,14 @@ impl LoadStoreQueue {
         self.latest_stamp = self.latest_stamp.max(cycle);
         if let Some(i) = i {
             let e = &mut self.entries[i];
-            if e.partial.is_none() {
-                e.partial = Some((p, cycle));
-            }
+            // First write wins; a repeat may only restate it, so an
+            // address once known stays known with the same bits.
+            debug_assert!(
+                e.partial.is_none_or(|(q, t)| q == p && t <= cycle),
+                "partial address of {} changed after arrival",
+                e.seq
+            );
+            e.partial.get_or_insert((p, cycle));
         }
     }
 
@@ -259,12 +291,14 @@ impl LoadStoreQueue {
         self.latest_stamp = self.latest_stamp.max(cycle);
         if let Some(i) = i {
             let e = &mut self.entries[i];
-            if e.full.is_none() {
-                e.full = Some((w, cycle));
-            }
-            if e.partial.is_none() {
-                e.partial = Some((p, cycle));
-            }
+            debug_assert!(
+                e.full.is_none_or(|(v, t)| v == w && t <= cycle)
+                    && e.partial.is_none_or(|(q, t)| q == p && t <= cycle),
+                "address of {} changed after arrival",
+                e.seq
+            );
+            e.full.get_or_insert((w, cycle));
+            e.partial.get_or_insert((p, cycle));
         }
     }
 
@@ -301,7 +335,7 @@ impl LoadStoreQueue {
         probe: &mut P,
     ) -> LoadStatus {
         let idx = self.find(seq).expect("load must be in the LSQ");
-        self.load_status_at_probed(idx, cycle, use_partial, probe)
+        self.load_status_at_probed(idx, cycle, use_partial, probe).0
     }
 
     /// [`LoadStoreQueue::load_status`] resolving the load through its
@@ -311,22 +345,25 @@ impl LoadStoreQueue {
     ///
     /// Panics if the handle's entry is not a load still in the queue.
     pub fn load_status_ref(&mut self, r: LsqRef, cycle: u64, use_partial: bool) -> LoadStatus {
-        self.load_status_ref_probed(r, cycle, use_partial, &mut NullProbe)
+        self.load_status_and_blockers(r, cycle, use_partial, &mut NullProbe)
+            .0
     }
 
-    /// [`LoadStoreQueue::load_status_ref`] with telemetry; see
-    /// [`LoadStoreQueue::load_status_probed`].
+    /// [`LoadStoreQueue::load_status_ref`] with telemetry (see
+    /// [`LoadStoreQueue::load_status_probed`]) that also reports the
+    /// stores the answer waits on, so the caller can skip re-polling the
+    /// load until one of the [`LoadBlockers`] inputs changes.
     ///
     /// # Panics
     ///
     /// Panics if the handle's entry is not a load still in the queue.
-    pub fn load_status_ref_probed<P: Probe>(
+    pub fn load_status_and_blockers<P: Probe>(
         &mut self,
         r: LsqRef,
         cycle: u64,
         use_partial: bool,
         probe: &mut P,
-    ) -> LoadStatus {
+    ) -> (LoadStatus, LoadBlockers) {
         let idx = self.find_ref(r).expect("load must be in the LSQ");
         self.load_status_at_probed(idx, cycle, use_partial, probe)
     }
@@ -338,7 +375,8 @@ impl LoadStoreQueue {
         cycle: u64,
         use_partial: bool,
         probe: &mut P,
-    ) -> LoadStatus {
+    ) -> (LoadStatus, LoadBlockers) {
+        let mut blockers = LoadBlockers::default();
         let seq = self.entries[idx].seq;
         assert!(!self.entries[idx].is_store, "entry {seq} is a store");
 
@@ -351,10 +389,9 @@ impl LoadStoreQueue {
         // is known and the load's own full address is known, we can give a
         // definitive answer.
         if let Some((w, _)) = own_full {
-            let mut pos = self.entries[idx].full_pos;
+            let mut pos = own_gid;
             let mut match_seq = self.entries[idx].full_match;
-            let mut all_known = true;
-            let start = self.resume_index(pos);
+            let start = self.resume_index(self.entries[idx].full_pos);
             for e in self.entries.range(start..idx) {
                 if !e.is_store {
                     continue;
@@ -366,15 +403,13 @@ impl LoadStoreQueue {
                         }
                     }
                     None => {
-                        all_known = false;
+                        blockers.full = Some(e.seq);
                         pos = e.gid;
                         break;
                     }
                 }
             }
-            if all_known {
-                pos = own_gid;
-            }
+            let all_known = blockers.full.is_none();
             {
                 let e = &mut self.entries[idx];
                 e.full_pos = pos;
@@ -396,26 +431,26 @@ impl LoadStoreQueue {
                 if P::ENABLED {
                     probe.lsq_full_ready(cycle, seq, forward);
                 }
-                return LoadStatus::FullReady { forward };
+                return (LoadStatus::FullReady { forward }, blockers);
             }
         }
 
         if !use_partial {
-            return if own_full.is_none() {
+            let status = if own_full.is_none() {
                 LoadStatus::WaitOwnAddress
             } else {
                 LoadStatus::WaitStoreAddress
             };
+            return (status, blockers);
         }
 
         // Partial path.
         let Some((p, _)) = own_partial else {
-            return LoadStatus::WaitOwnAddress;
+            return (LoadStatus::WaitOwnAddress, blockers);
         };
-        let mut pos = self.entries[idx].part_pos;
+        let mut pos = own_gid;
         let mut match_seq = self.entries[idx].part_match;
-        let mut any_unknown = false;
-        let start = self.resume_index(pos);
+        let start = self.resume_index(self.entries[idx].part_pos);
         for e in self.entries.range(start..idx) {
             if !e.is_store {
                 continue;
@@ -427,22 +462,19 @@ impl LoadStoreQueue {
                     }
                 }
                 None => {
-                    any_unknown = true;
+                    blockers.partial = Some(e.seq);
                     pos = e.gid;
                     break;
                 }
             }
-        }
-        if !any_unknown {
-            pos = own_gid;
         }
         {
             let e = &mut self.entries[idx];
             e.part_pos = pos;
             e.part_match = match_seq;
         }
-        if any_unknown {
-            return LoadStatus::WaitStoreAddress;
+        if blockers.partial.is_some() {
+            return (LoadStatus::WaitStoreAddress, blockers);
         }
         if match_seq.is_some_and(|m| m >= front_seq) {
             let e = &mut self.entries[idx];
@@ -453,16 +485,17 @@ impl LoadStoreQueue {
                     probe.lsq_partial_conflict(cycle, seq);
                 }
             }
-            return LoadStatus::PartialConflict;
+            return (LoadStatus::PartialConflict, blockers);
         }
-        LoadStatus::PartialReady
+        (LoadStatus::PartialReady, blockers)
     }
 
     /// The earliest future cycle at which a recorded address stamp becomes
-    /// visible to `load_status`, or `None` when every stamp is already in
-    /// the past. Arrival stamps are recorded at delivery time in practice,
-    /// so this is a robustness guard for the core's idle-cycle skipper
-    /// with an O(1) common case.
+    /// visible to `load_status`, or `None` (in O(1)) when every stamp is
+    /// already in the past. A caller that records arrivals at their
+    /// delivery cycle always gets `None`; the core asserts that, since a
+    /// load re-polled only on [`LoadBlockers`] events would miss a stamp
+    /// maturing later.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         if self.latest_stamp <= now {
             return None;
@@ -475,10 +508,22 @@ impl LoadStoreQueue {
             .min()
     }
 
-    /// Removes all entries with `seq <= bound` (commit).
+    /// Removes all entries with `seq <= bound` (commit). Retirement is in
+    /// order, and a store retires only once its full address has arrived.
     pub fn retire_through(&mut self, bound: u64) {
+        debug_assert!(
+            bound >= self.retired_through,
+            "retirement out of order: {bound} after {}",
+            self.retired_through
+        );
+        self.retired_through = bound;
         while let Some(front) = self.entries.front() {
             if front.seq <= bound {
+                debug_assert!(
+                    !front.is_store || front.full.is_some(),
+                    "store {} retired before its full address arrived",
+                    front.seq
+                );
                 self.entries.pop_front();
             } else {
                 break;
@@ -618,6 +663,7 @@ mod tests {
         for s in 1..=5 {
             lsq.insert(s, s % 2 == 0);
         }
+        lsq.arrive_full(2, 0x1000, 1);
         lsq.retire_through(3);
         assert_eq!(lsq.len(), 2);
         lsq.remove(5);
@@ -675,6 +721,7 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(8);
         let r = lsq.insert(1, true);
         lsq.insert(2, false);
+        lsq.arrive_full(1, 0x2000, 0);
         lsq.retire_through(1);
         // The store has retired; its handle must resolve to nothing rather
         // than aliasing the load now at the front.
@@ -746,6 +793,7 @@ mod tests {
                 if lsq.load_status(seq + 1, 0, true) == LoadStatus::PartialConflict {
                     matches += 1;
                 }
+                lsq.arrive_full(seq, saddr, 0);
                 lsq.retire_through(seq + 1);
                 seq += 2;
             }

@@ -2,8 +2,9 @@
 //! (std-only, driven by the workspace RNG).
 
 use heterowire_rng::SmallRng;
+use heterowire_telemetry::NullProbe;
 
-use heterowire_memory::lsq::{LoadStatus, LoadStoreQueue};
+use heterowire_memory::lsq::{LoadBlockers, LoadStatus, LoadStoreQueue, LsqRef};
 use heterowire_memory::pipeline::{
     accelerated_hit_completion, baseline_hit_completion, CachePipelineParams,
 };
@@ -112,6 +113,157 @@ fn forwarding_matches_word_equality() {
             }
         );
     }
+}
+
+/// One memory op of a randomized LSQ stream.
+struct StreamOp {
+    seq: u64,
+    store: bool,
+    addr: u64,
+    handle: LsqRef,
+    partial_sent: bool,
+    full_sent: bool,
+    /// Loads, once their first address arrived: the status and blockers of
+    /// the last poll, and whether the wake rule has woken the load since.
+    polled: Option<(LoadStatus, LoadBlockers)>,
+    awake: bool,
+    /// Loads: fully disambiguated (no longer polled).
+    done: bool,
+}
+
+/// The wake rule of [`LoadBlockers`] is sound: on randomized streams of
+/// inserts, partial and full address arrivals (in either order) and
+/// in-order retirements, every load the rule leaves asleep would return
+/// its cached status and blockers from a fresh poll on a clone. An
+/// oracle queue fed the same stream and polled for every load every
+/// cycle agrees on each status and ends with identical statistics.
+#[test]
+fn wake_rule_never_sleeps_through_a_change() {
+    let mut rng = SmallRng::seed_from_u64(0x3e3_0008);
+    let mut conflicts = 0;
+    for case in 0..CASES {
+        let ls_bits = 2 + (case % 7) as u32;
+        let use_partial = case % 2 == 0;
+        let mut lsq = LoadStoreQueue::new(ls_bits);
+        let mut oracle = LoadStoreQueue::new(ls_bits);
+        let mut ops: std::collections::VecDeque<StreamOp> = Default::default();
+        let mut next_seq = 0;
+        for cycle in 1..400u64 {
+            // Dispatch: stores and loads over a few dozen words, some
+            // loads reading an in-flight store's word.
+            if ops.len() < 24 && rng.gen_bool(0.6) {
+                let store = rng.gen_bool(0.4);
+                let stored: Vec<u64> = ops.iter().filter(|o| o.store).map(|o| o.addr).collect();
+                let addr = if !store && !stored.is_empty() && rng.gen_bool(0.3) {
+                    stored[rng.gen_range(0..stored.len())]
+                } else {
+                    (rng.gen_range(0u64..48) << 3) | rng.gen_range(0u64..8)
+                };
+                let handle = lsq.insert(next_seq, store);
+                oracle.insert(next_seq, store);
+                ops.push_back(StreamOp {
+                    seq: next_seq,
+                    store,
+                    addr,
+                    handle,
+                    partial_sent: false,
+                    full_sent: false,
+                    polled: None,
+                    awake: false,
+                    done: false,
+                });
+                next_seq += 1;
+            }
+            // Address arrivals, at this cycle, partial or full first.
+            for _ in 0..rng.gen_range(0usize..4) {
+                if ops.is_empty() {
+                    break;
+                }
+                let i = rng.gen_range(0..ops.len());
+                let full = if ops[i].partial_sent == ops[i].full_sent {
+                    rng.gen_bool(0.3)
+                } else {
+                    !ops[i].full_sent
+                };
+                if (full && ops[i].full_sent) || (!full && ops[i].partial_sent) {
+                    continue;
+                }
+                let (seq, addr, handle) = (ops[i].seq, ops[i].addr, ops[i].handle);
+                if full {
+                    ops[i].full_sent = true;
+                    lsq.arrive_full_ref(handle, addr, cycle);
+                    oracle.arrive_full(seq, addr, cycle);
+                } else {
+                    ops[i].partial_sent = true;
+                    lsq.arrive_partial_ref(handle, addr, cycle);
+                    oracle.arrive_partial(seq, addr, cycle);
+                }
+                if !ops[i].store {
+                    ops[i].awake = true;
+                    continue;
+                }
+                for o in ops.iter_mut() {
+                    if let Some((_, b)) = o.polled {
+                        if b.partial == Some(seq) || (full && b.full == Some(seq)) {
+                            o.awake = true;
+                        }
+                    }
+                }
+            }
+            // In-order retirement: stores with their full address, loads
+            // once disambiguated.
+            while ops
+                .front()
+                .is_some_and(|o| if o.store { o.full_sent } else { o.done })
+                && rng.gen_bool(0.5)
+            {
+                let o = ops.pop_front().expect("front");
+                lsq.retire_through(o.seq);
+                oracle.retire_through(o.seq);
+                if o.store {
+                    for l in ops.iter_mut() {
+                        if matches!(l.polled, Some((LoadStatus::PartialConflict, _))) {
+                            l.awake = true;
+                        }
+                    }
+                }
+            }
+            // Poll: woken loads for real, sleeping ones on a clone.
+            for o in ops.iter_mut() {
+                if o.store || o.done || !(o.partial_sent || o.full_sent) {
+                    continue;
+                }
+                let want = oracle.load_status(o.seq, cycle, use_partial);
+                let got = if o.awake {
+                    let (status, blockers) =
+                        lsq.load_status_and_blockers(o.handle, cycle, use_partial, &mut NullProbe);
+                    o.polled = Some((status, blockers));
+                    o.awake = false;
+                    status
+                } else {
+                    let (cached, cached_blockers) = o.polled.expect("polled before sleeping");
+                    let fresh = lsq.clone().load_status_and_blockers(
+                        o.handle,
+                        cycle,
+                        use_partial,
+                        &mut NullProbe,
+                    );
+                    assert_eq!(
+                        fresh,
+                        (cached, cached_blockers),
+                        "case {case} cycle {cycle}: load {} slept through a change",
+                        o.seq
+                    );
+                    cached
+                };
+                assert_eq!(got, want, "case {case} cycle {cycle}: load {}", o.seq);
+                o.done = matches!(got, LoadStatus::FullReady { .. });
+            }
+        }
+        assert_eq!(lsq.stats(), oracle.stats(), "case {case}");
+        conflicts += lsq.stats().partial_matches;
+    }
+    assert!(conflicts > 0, "no stream produced a partial conflict");
 }
 
 /// The accelerated pipeline never loses more than the tag-compare cycle,
