@@ -4,7 +4,7 @@
 //! performance regressions on the exact code path the figure uses.
 
 use heterowire_bench::timing::bench;
-use heterowire_bench::{run_one, RunScale};
+use heterowire_bench::{Cell, RunScale};
 use heterowire_core::{InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::by_name;
@@ -17,7 +17,9 @@ fn main() {
     for model in [InterconnectModel::I, InterconnectModel::VII] {
         let s = bench(&format!("fig3/gzip_model_{}", model.name()), 10, || {
             let cfg = ProcessorConfig::for_model(model, Topology::crossbar4());
-            let r = run_one(cfg, by_name("gzip").expect("gzip exists"), scale);
+            let r = Cell::from_config(cfg)
+                .run(by_name("gzip").expect("gzip exists"), scale)
+                .expect("no stall");
             r.ipc()
         });
         println!("{}", s.report());

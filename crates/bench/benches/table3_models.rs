@@ -3,7 +3,7 @@
 //! full heterogeneous). The full table is produced by the `table3` binary.
 
 use heterowire_bench::timing::bench;
-use heterowire_bench::{run_one, RunScale};
+use heterowire_bench::{Cell, RunScale};
 use heterowire_core::{InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::by_name;
@@ -20,7 +20,9 @@ fn main() {
     ] {
         let s = bench(&format!("table3/gcc_model_{}", model.name()), 10, || {
             let cfg = ProcessorConfig::for_model(model, Topology::crossbar4());
-            let r = run_one(cfg, by_name("gcc").expect("gcc exists"), scale);
+            let r = Cell::from_config(cfg)
+                .run(by_name("gcc").expect("gcc exists"), scale)
+                .expect("no stall");
             (r.ipc(), r.net.dynamic_energy)
         });
         println!("{}", s.report());

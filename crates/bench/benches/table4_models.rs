@@ -3,7 +3,7 @@
 //! configuration). The full table is produced by the `table4` binary.
 
 use heterowire_bench::timing::bench;
-use heterowire_bench::{run_one, RunScale};
+use heterowire_bench::{Cell, RunScale};
 use heterowire_core::{InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::by_name;
@@ -19,7 +19,9 @@ fn main() {
             10,
             || {
                 let cfg = ProcessorConfig::for_model(model, Topology::hier16());
-                let r = run_one(cfg, by_name("swim").expect("swim exists"), scale);
+                let r = Cell::from_config(cfg)
+                    .run(by_name("swim").expect("swim exists"), scale)
+                    .expect("no stall");
                 r.ipc()
             },
         );

@@ -9,27 +9,37 @@
 //!   L-Wires).
 //!
 //! Run `cargo run -p heterowire-bench --bin ablation -- <which>`; with no
-//! study name, all five run. `--model <token>` (a preset or
+//! study name, all five run, and an unknown name exits with status 2.
+//! `--model <token>` (a preset or
 //! `custom:<spec>`) swaps the default Model VII study machine;
 //! `--topology <token>` (a preset, compact spec or spec file) swaps the
 //! default 4-cluster crossbar; `--csv` / `--json` write every printed
 //! scalar as machine-readable [`MetricRow`] artifacts.
 
 use heterowire_bench::{
-    artifact_paths_from_args, emit_metric_artifacts, model_override_or, run_one, run_suite,
-    topology_override_or, MetricRow, RunScale, SEED,
+    completed, executor, format_metric_csv, format_metric_json, or_exit, sweep, Args, Cell,
+    MetricRow, RunScale, SEED,
 };
-use heterowire_core::{Extensions, InterconnectModel, ModelSpec, Optimizations, ProcessorConfig};
+use heterowire_core::{
+    Extensions, InterconnectModel, ModelSpec, Optimizations, ProcessorConfig, SimResults,
+};
 use heterowire_interconnect::Topology;
 use heterowire_trace::{by_name, spec2000, TraceGenerator};
 
 fn ls_bits(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<MetricRow>) {
     println!("\n== LS-bit sweep: false partial-address dependences ==");
     println!("{:>8} {:>12} {:>10}", "LS bits", "false deps", "AM IPC");
-    for bits in [4, 6, 8, 12, 16] {
-        let mut cfg = ProcessorConfig::for_model_spec(study, topology);
-        cfg.ls_bits = bits;
-        let suite = run_suite(&cfg, scale);
+    let widths = [4, 6, 8, 12, 16];
+    let cells: Vec<Cell> = widths
+        .iter()
+        .map(|&bits| {
+            let mut cfg = ProcessorConfig::for_model_spec(study, topology);
+            cfg.ls_bits = bits;
+            Cell::from_config(cfg)
+        })
+        .collect();
+    let suites = completed(sweep(&cells, scale, executor::default_workers()));
+    for (bits, suite) in widths.iter().zip(&suites) {
         let (fd, loads) = suite.runs.iter().fold((0, 0), |(fd, ld), r| {
             (fd + r.lsq.false_dependences, ld + r.lsq.loads)
         });
@@ -71,16 +81,23 @@ fn balance(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec
     // The balancer lives in the policy; window/threshold are fixed at the
     // paper's values in the public API, so this sweep exercises on/off and
     // the PW-steering criteria combinations instead.
-    for (pw, lb, label) in [
+    let variants = [
         (false, false, "off/off"),
         (true, false, "criteria only"),
         (false, true, "balance only"),
         (true, true, "paper (both)"),
-    ] {
-        let mut cfg = ProcessorConfig::for_model_spec(&model, topology);
-        cfg.opts.pw_steering = pw;
-        cfg.opts.load_balance = lb;
-        let suite = run_suite(&cfg, scale);
+    ];
+    let cells: Vec<Cell> = variants
+        .iter()
+        .map(|&(pw, lb, _)| {
+            let mut cfg = ProcessorConfig::for_model_spec(&model, topology);
+            cfg.opts.pw_steering = pw;
+            cfg.opts.load_balance = lb;
+            Cell::from_config(cfg)
+        })
+        .collect();
+    let suites = completed(sweep(&cells, scale, executor::default_workers()));
+    for ((_, _, label), suite) in variants.iter().zip(&suites) {
         let (pw_t, total) = suite.runs.iter().fold((0u64, 0u64), |(p, t), r| {
             (p + r.net.transfers[1], t + r.net.total_transfers())
         });
@@ -96,7 +113,7 @@ fn balance(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec
     }
 }
 
-fn narrow(_scale: RunScale, out: &mut Vec<MetricRow>) {
+fn narrow(_: RunScale, _: &ModelSpec, _: Topology, out: &mut Vec<MetricRow>) {
     println!("\n== Narrow-operand availability (trace property) ==");
     println!("{:>10} {:>16}", "threshold", "narrow results");
     for bits in [8u32, 10, 12, 16] {
@@ -160,7 +177,7 @@ fn opts(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<Me
         for b in bench_set {
             let mut cfg = ProcessorConfig::for_model_spec(study, topology);
             tweak(&mut cfg.opts);
-            let r = run_one(cfg, by_name(b).expect("known benchmark"), scale);
+            let r = run(cfg, b, scale);
             sum += r.ipc();
         }
         let am = sum / bench_set.len() as f64;
@@ -217,7 +234,7 @@ fn extensions(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut 
             let mut cfg = ProcessorConfig::for_model_spec(study, topology);
             cfg.latency_scale = 2.0;
             cfg.extensions = *ext;
-            let r = run_one(cfg, by_name(b).expect("known benchmark"), scale);
+            let r = run(cfg, b, scale);
             ipc += r.ipc();
             energy += r.net.dynamic_energy;
         }
@@ -232,41 +249,53 @@ fn extensions(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut 
     }
 }
 
-/// The first positional (non-flag) argument: flag/value pairs are skipped.
-fn which_study(args: &[String]) -> String {
-    let flags = ["--model", "--topology", "--csv", "--json"];
-    let mut i = 1;
-    while i < args.len() {
-        if flags.contains(&args[i].as_str()) {
-            i += 2;
-        } else {
-            return args[i].clone();
-        }
-    }
-    String::new()
+/// Runs one named benchmark under a hand-built configuration.
+fn run(cfg: ProcessorConfig, bench: &str, scale: RunScale) -> SimResults {
+    Cell::from_config(cfg)
+        .run(by_name(bench).expect("known benchmark"), scale)
+        .unwrap_or_else(|stall| panic!("{bench}: {stall}"))
 }
+
+type Study = fn(RunScale, &ModelSpec, Topology, &mut Vec<MetricRow>);
+
+/// Every study, by command-line name, in the order a bare run takes them.
+const STUDIES: [(&str, Study); 5] = [
+    ("ls-bits", ls_bits),
+    ("balance", balance),
+    ("narrow", narrow),
+    ("opts", opts),
+    ("ext", extensions),
+];
 
 fn main() {
     let scale = RunScale::from_env();
-    let study = model_override_or("VII");
-    let topology = topology_override_or("crossbar4").topology();
-    let paths = artifact_paths_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let which = which_study(&args);
-    let mut metrics = Vec::new();
-    match which.as_str() {
-        "ls-bits" => ls_bits(scale, &study, topology, &mut metrics),
-        "balance" => balance(scale, &study, topology, &mut metrics),
-        "narrow" => narrow(scale, &mut metrics),
-        "opts" => opts(scale, &study, topology, &mut metrics),
-        "ext" => extensions(scale, &study, topology, &mut metrics),
-        _ => {
-            ls_bits(scale, &study, topology, &mut metrics);
-            balance(scale, &study, topology, &mut metrics);
-            narrow(scale, &mut metrics);
-            opts(scale, &study, topology, &mut metrics);
-            extensions(scale, &study, topology, &mut metrics);
+    let args = or_exit(Args::from_env(
+        &["--model", "--topology", "--csv", "--json"],
+        1,
+    ));
+    let study = or_exit(args.model_or("VII"));
+    let topology = or_exit(args.topology_or("crossbar4")).topology();
+    let paths = or_exit(args.artifacts());
+    let selected = match args.positional() {
+        None => &STUDIES[..],
+        Some(which) => {
+            let i = STUDIES.iter().position(|(name, _)| *name == which);
+            let i = or_exit(i.ok_or_else(|| {
+                let names: Vec<_> = STUDIES.iter().map(|(name, _)| *name).collect();
+                format!(
+                    "unknown study {which:?}; expected one of {}",
+                    names.join(", ")
+                )
+            }));
+            &STUDIES[i..=i]
         }
+    };
+    let mut metrics = Vec::new();
+    for (_, run_study) in selected {
+        run_study(scale, &study, topology, &mut metrics);
     }
-    emit_metric_artifacts(&metrics, &paths);
+    paths.emit(
+        || format_metric_csv(&metrics),
+        || format_metric_json(&metrics),
+    );
 }

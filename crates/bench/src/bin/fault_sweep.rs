@@ -20,17 +20,11 @@
 //! diagnostics on stderr, and the sweep exits 1 after writing artifacts.
 //! Same grid + same seed ⇒ bit-identical artifacts (CI diffs two runs).
 
-use std::sync::Arc;
-
 use heterowire_bench::{
-    artifact_paths_from_args, degraded_config, emit_metric_artifacts, executor,
-    fault_specs_from_args, model_override_or, policies_from_args, run_one_policy_faults,
-    topology_override_or, MetricRow, PolicyKind, RunScale, SuiteResults,
+    executor, format_metric_csv, format_metric_json, or_exit, sweep, Args, Cell, MetricRow,
+    PolicyKind, RunScale,
 };
-use heterowire_core::{
-    mean_report, relative_report, EnergyParams, FaultSpec, ProcessorConfig, SimResults,
-};
-use heterowire_trace::spec2000;
+use heterowire_core::{EnergyParams, FaultSpec};
 
 /// The default transient error-rate ladder swept when no `--faults` flag
 /// is given (per-bit, per-hop L-Wire rates).
@@ -38,113 +32,55 @@ const DEFAULT_GRID: [&str; 4] = ["l@1e-4", "l@1e-3", "l@1e-2", "l@3e-2"];
 
 fn main() {
     let scale = RunScale::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let topo = topology_override_or("crossbar4");
-    let model = model_override_or("X");
-    let policies = match policies_from_args(&args) {
-        Ok(list) => list.unwrap_or_else(|| PolicyKind::ALL.to_vec()),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    for &pk in &policies {
-        if let Err(e) = pk.check_supported(&model) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    let args = or_exit(Args::from_env(
+        &[
+            "--model",
+            "--topology",
+            "--policy",
+            "--faults",
+            "--csv",
+            "--json",
+        ],
+        0,
+    ));
+    let topo = or_exit(args.topology_or("crossbar4"));
+    let model = or_exit(args.model_or("X"));
+    let mut policies = or_exit(args.policies());
+    if policies.is_empty() {
+        policies = PolicyKind::ALL.to_vec();
     }
-    let grid = match fault_specs_from_args(&args) {
-        Ok(specs) if specs.is_empty() => DEFAULT_GRID
+    let mut grid = or_exit(args.faults());
+    if grid.is_empty() {
+        grid = DEFAULT_GRID
             .iter()
             .map(|t| FaultSpec::parse(t).expect("default grid token parses"))
-            .collect(),
-        Ok(specs) => specs,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+            .collect();
+    }
+    let paths = or_exit(args.artifacts());
 
     // Scenario 0 is always the fault-free baseline.
     let mut scenarios: Vec<(String, Option<FaultSpec>)> = vec![("none".to_string(), None)];
     scenarios.extend(grid.into_iter().map(|s| (s.to_string(), Some(s))));
-
-    let configs: Vec<Arc<ProcessorConfig>> = scenarios
-        .iter()
-        .map(
-            |(name, spec)| match degraded_config(&model, topo.topology(), spec.as_ref()) {
-                Ok(c) => Arc::new(c),
-                Err(e) => {
-                    eprintln!("{name}: {e}");
-                    std::process::exit(2);
-                }
-            },
-        )
-        .collect();
-
-    let profiles = spec2000();
-    let nbench = profiles.len();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    let mut jobs = Vec::with_capacity(scenarios.len() * policies.len() * nbench);
-    for si in 0..scenarios.len() {
-        for pi in 0..policies.len() {
-            for &p in &profiles {
-                jobs.push((si, pi, p));
-            }
+    let mut cells = Vec::with_capacity(scenarios.len() * policies.len());
+    for (_, spec) in &scenarios {
+        for &pk in &policies {
+            cells.push(or_exit(Cell::new(
+                &model,
+                topo.topology(),
+                pk,
+                spec.as_ref(),
+            )));
         }
     }
     eprintln!(
-        "sweeping {} fault scenario(s) x {} policies x {} benchmarks on {} / {} ...",
+        "sweeping {} fault scenario(s) x {} policies x 23 benchmarks on {} / {} ...",
         scenarios.len(),
         policies.len(),
-        nbench,
         model.name(),
         topo.name(),
     );
-    let outcomes =
-        executor::run_indexed_catching(jobs, executor::default_workers(), |(si, pi, profile)| {
-            run_one_policy_faults(
-                configs[si].clone(),
-                profile,
-                scale,
-                policies[pi],
-                scenarios[si].1.as_ref(),
-            )
-        });
-
-    // Fold the flat job list into per-(scenario, policy) suites; any
-    // failed benchmark (stall or panic) fails the whole cell.
-    let mut suites: Vec<Vec<Result<SuiteResults, String>>> = Vec::new();
-    let mut chunks = outcomes.chunks(nbench);
-    for _ in 0..scenarios.len() {
-        let mut per_policy = Vec::new();
-        for _ in 0..policies.len() {
-            let chunk = chunks.next().expect("job list covers the grid");
-            let mut runs: Vec<SimResults> = Vec::with_capacity(nbench);
-            let mut failure: Option<String> = None;
-            for (bi, outcome) in chunk.iter().enumerate() {
-                match outcome {
-                    Ok(Ok(r)) => runs.push(*r),
-                    Ok(Err(stall)) if failure.is_none() => {
-                        failure = Some(format!("{}: {stall}", names[bi]));
-                    }
-                    Err(p) if failure.is_none() => {
-                        failure = Some(format!("{}: {p}", names[bi]));
-                    }
-                    _ => {}
-                }
-            }
-            per_policy.push(match failure {
-                None => Ok(SuiteResults {
-                    names: names.clone(),
-                    runs,
-                }),
-                Some(msg) => Err(msg),
-            });
-        }
-        suites.push(per_policy);
-    }
+    // A cell fails as a whole when any of its benchmarks stalls or panics.
+    let suites = sweep(&cells, scale, executor::default_workers());
 
     let mut rows: Vec<MetricRow> = Vec::new();
     let mut failed = 0usize;
@@ -163,7 +99,7 @@ fn main() {
         for (pi, &pk) in policies.iter().enumerate() {
             let section = scenario.as_str();
             let label = pk.name();
-            match &suites[si][pi] {
+            match &suites[si * policies.len() + pi] {
                 Ok(suite) => {
                     let ipc = suite.mean_ipc();
                     let faults_detected: u64 =
@@ -199,17 +135,9 @@ fn main() {
                     // Degradation curves vs the fault-free baseline of the
                     // same policy (only meaningful when it completed).
                     let (mut dipc, mut ed2_10) = (f64::NAN, f64::NAN);
-                    if let Ok(base) = &suites[0][pi] {
+                    if let Ok(base) = &suites[pi] {
                         dipc = 100.0 * (1.0 - ipc / base.mean_ipc());
-                        let rel = |params: EnergyParams| {
-                            let rs: Vec<_> = suite
-                                .runs
-                                .iter()
-                                .zip(&base.runs)
-                                .map(|(m, b)| relative_report(m, b, params))
-                                .collect();
-                            mean_report(&rs).rel_ed2
-                        };
+                        let rel = |params| suite.relative_to(base, params).rel_ed2;
                         ed2_10 = rel(EnergyParams::ten_percent());
                         rows.push(MetricRow::new(section, label, "ipc_drop_pct", dipc));
                         rows.push(MetricRow::new(section, label, "ed2_10_pct", ed2_10));
@@ -246,7 +174,7 @@ fn main() {
         }
     }
     println!();
-    emit_metric_artifacts(&rows, &artifact_paths_from_args());
+    paths.emit(|| format_metric_csv(&rows), || format_metric_json(&rows));
     if failed > 0 {
         eprintln!("{failed} sweep cell(s) failed");
         std::process::exit(1);

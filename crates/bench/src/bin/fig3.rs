@@ -10,32 +10,42 @@
 //! single layer.
 
 use heterowire_bench::{
-    artifact_paths_from_args, emit_suite_artifacts, model_override_or, run_suite,
-    topology_override_or, RunScale,
+    completed, executor, format_suite_csv, format_suite_json, or_exit, sweep, Args, Cell, RunScale,
 };
-use heterowire_core::{Optimizations, ProcessorConfig};
+use heterowire_core::{ModelSpec, Optimizations, ProcessorConfig};
 
 fn main() {
     let scale = RunScale::from_env();
+    let args = or_exit(Args::from_env(
+        &["--model", "--topology", "--csv", "--json"],
+        0,
+    ));
     // Figure 3 uses a single metal layer: 72 B-Wires per cluster link (the
     // cache link has twice that), versus the same plus an L-Wire layer of
     // 18 wires per cluster link (paper §5.3). Both machines share one
     // topology so the comparison isolates the wire mix.
-    let base_spec = heterowire_core::ModelSpec::parse("custom:b72").expect("valid spec");
-    let enhanced = model_override_or("custom:b72+l18");
-    let topology = topology_override_or("crossbar4").topology();
+    let base_spec = ModelSpec::parse("custom:b72").expect("valid spec");
+    let enhanced = or_exit(args.model_or("custom:b72+l18"));
+    let topology = or_exit(args.topology_or("crossbar4")).topology();
+    let paths = or_exit(args.artifacts());
 
     let mut base_cfg = ProcessorConfig::for_model_spec(&base_spec, topology);
     base_cfg.opts = Optimizations::none();
-    let l_cfg = ProcessorConfig::for_model_spec(&enhanced, topology);
+    let cells = [
+        Cell::from_config(base_cfg),
+        Cell::from_config(ProcessorConfig::for_model_spec(&enhanced, topology)),
+    ];
 
-    eprintln!("running baseline (72 B-Wires) suite ...");
-    let base = run_suite(&base_cfg, scale);
-    eprintln!("running enhanced ({}) suite ...", enhanced.description());
-    let lwire = run_suite(&l_cfg, scale);
-    emit_suite_artifacts(
-        &[("baseline", &base), ("lwire", &lwire)],
-        &artifact_paths_from_args(),
+    eprintln!(
+        "running baseline (72 B-Wires) and enhanced ({}) suites ...",
+        enhanced.description()
+    );
+    let suites = completed(sweep(&cells, scale, executor::default_workers()));
+    let (base, lwire) = (&suites[0], &suites[1]);
+    let labelled = [("baseline", base), ("lwire", lwire)];
+    paths.emit(
+        || format_suite_csv(&labelled),
+        || format_suite_json(&labelled),
     );
 
     println!("Figure 3: IPC, 4-cluster partitioned architecture");

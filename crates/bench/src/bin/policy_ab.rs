@@ -19,71 +19,62 @@
 //! on `custom:b144`) is refused up front with exit status 2.
 
 use heterowire_bench::{
-    artifact_paths_from_args, emit_metric_artifacts, executor, format_policy_table,
-    policies_from_args, policy_metric_rows, policy_sweep_runs, ModelSet, PolicyKind, RunScale,
-    TopologySet,
+    completed, executor, format_metric_csv, format_metric_json, format_policy_table, or_exit,
+    parse_topology_token, policy_metric_rows, sweep, Args, Cell, PolicyKind, RunScale,
 };
 use heterowire_core::ModelSpec;
 
 fn main() {
     let scale = RunScale::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let topologies = TopologySet::from_args_or("crossbar4");
-    let models = match ModelSet::from_args(&args) {
-        Ok(set) => set.unwrap_or_else(|| {
-            ModelSet::new(vec![ModelSpec::parse("X").expect("preset X parses")])
-                .expect("non-empty set")
-        }),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let policies = match policies_from_args(&args) {
-        Ok(list) => list.unwrap_or_else(|| PolicyKind::ALL.to_vec()),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    for spec in models.specs() {
-        for &pk in &policies {
-            if let Err(e) = pk.check_supported(spec) {
-                eprintln!("{e}");
-                std::process::exit(2);
+    let args = or_exit(Args::from_env(
+        &["--model", "--topology", "--policy", "--csv", "--json"],
+        0,
+    ));
+    let mut topologies = or_exit(args.topologies());
+    if topologies.is_empty() {
+        topologies.push(parse_topology_token("crossbar4").expect("preset crossbar4 parses"));
+    }
+    let mut models = or_exit(args.models());
+    if models.is_empty() {
+        models.push(ModelSpec::parse("X").expect("preset X parses"));
+    }
+    let mut policies = or_exit(args.policies());
+    if policies.is_empty() {
+        policies = PolicyKind::ALL.to_vec();
+    }
+    let paths = or_exit(args.artifacts());
+
+    // One cell per (topology, model, policy), in that nesting order.
+    let mut cells = Vec::new();
+    for topo_spec in &topologies {
+        for spec in &models {
+            for &pk in &policies {
+                cells.push(or_exit(Cell::new(spec, topo_spec.topology(), pk, None)));
             }
         }
     }
-
     let names: Vec<&str> = policies.iter().map(|p| p.name()).collect();
-    let mut rows = Vec::new();
-    for topo_spec in topologies.specs() {
-        eprintln!(
-            "racing {} on {} / {} x 23 benchmarks ...",
-            names.join(", "),
-            topo_spec.name(),
-            models
-                .specs()
-                .iter()
-                .map(|s| s.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let suites = policy_sweep_runs(
-            &models,
-            &policies,
-            topo_spec.topology(),
-            scale,
-            executor::default_workers(),
-        );
+    let topo_names: Vec<String> = topologies.iter().map(|t| t.name()).collect();
+    let model_names: Vec<String> = models.iter().map(|s| s.name()).collect();
+    eprintln!(
+        "racing {} on {} / {} x 23 benchmarks ...",
+        names.join(", "),
+        topo_names.join(", "),
+        model_names.join(", ")
+    );
+    let suites = completed(sweep(&cells, scale, executor::default_workers()));
 
+    let mut rows = Vec::new();
+    let mut grid = suites.chunks(policies.len());
+    for topo_spec in &topologies {
         println!(
             "Steering-policy A/B comparison, {} ({} clusters)",
             topo_spec.name(),
             topo_spec.topology().clusters()
         );
         println!("(ED2 is % of the first listed policy, at 10%/20% interconnect fractions)\n");
-        for (spec, model_suites) in models.specs().iter().zip(&suites) {
+        for spec in &models {
+            let model_suites = grid.next().expect("one chunk per (topology, model)");
             println!("{}", format_policy_table(spec, &policies, model_suites));
             let mut model_rows = policy_metric_rows(spec, &policies, model_suites);
             // In a multi-topology race the section key carries the
@@ -96,5 +87,5 @@ fn main() {
             rows.extend(model_rows);
         }
     }
-    emit_metric_artifacts(&rows, &artifact_paths_from_args());
+    paths.emit(|| format_metric_csv(&rows), || format_metric_json(&rows));
 }

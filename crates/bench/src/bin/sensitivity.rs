@@ -19,8 +19,8 @@
 //! as machine-readable metric rows.
 
 use heterowire_bench::{
-    artifact_paths_from_args, emit_metric_artifacts, model_override_or, run_suite,
-    topology_override_or, MetricRow, RunScale,
+    completed, executor, format_metric_csv, format_metric_json, or_exit, sweep, Args, Cell,
+    MetricRow, RunScale,
 };
 use heterowire_core::{InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
@@ -28,24 +28,59 @@ use heterowire_trace::spec2000;
 
 fn main() {
     let scale = RunScale::from_env();
-    let enhanced = model_override_or("VII");
+    let args = or_exit(Args::from_env(
+        &["--model", "--topology", "--csv", "--json"],
+        0,
+    ));
+    let enhanced = or_exit(args.model_or("VII"));
     // The base topology for the latency and predictor claims; the
     // 4-vs-16-cluster scaling contrast (claims 3/4) stays pinned to the
     // paper's crossbar4 -> hier16 pair regardless.
-    let base_topology = topology_override_or("crossbar4").topology();
+    let base_topology = or_exit(args.topology_or("crossbar4")).topology();
+    let paths = or_exit(args.artifacts());
     let mut metrics = Vec::new();
     let claim = |metrics: &mut Vec<MetricRow>, label: &str, metric: &str, value: f64| {
         metrics.push(MetricRow::new("sensitivity", label, metric, value));
     };
 
-    // --- 1: latency doubling on the baseline. ---
     let base_cfg = ProcessorConfig::for_model(InterconnectModel::I, base_topology);
     let mut slow_cfg = base_cfg.clone();
     slow_cfg.latency_scale = 2.0;
-    eprintln!("baseline 4-cluster suite ...");
-    let base = run_suite(&base_cfg, scale);
-    eprintln!("2x-latency suite ...");
-    let slow = run_suite(&slow_cfg, scale);
+    let mut slow_l_cfg = ProcessorConfig::for_model_spec(&enhanced, base_topology);
+    slow_l_cfg.latency_scale = 2.0;
+    let mut cells = vec![
+        Cell::from_config(base_cfg),
+        Cell::from_config(slow_cfg),
+        Cell::from_config(slow_l_cfg),
+        Cell::from_config(ProcessorConfig::for_model(
+            InterconnectModel::I,
+            Topology::hier16(),
+        )),
+        Cell::from_config(ProcessorConfig::for_model_spec(
+            &enhanced,
+            Topology::hier16(),
+        )),
+        Cell::from_config(ProcessorConfig::for_model_spec(&enhanced, base_topology)),
+    ];
+    // The 4-cluster baseline of the scaling contrast is the base suite
+    // unless --topology moved the base elsewhere.
+    if base_topology != Topology::crossbar4() {
+        cells.push(Cell::from_config(ProcessorConfig::for_model(
+            InterconnectModel::I,
+            Topology::crossbar4(),
+        )));
+    }
+    eprintln!(
+        "running {} suites (baseline, 2x latency, {} variants, 16 clusters) ...",
+        cells.len(),
+        enhanced.label()
+    );
+    let suites = completed(sweep(&cells, scale, executor::default_workers()));
+    let (base, slow, slow_l) = (&suites[0], &suites[1], &suites[2]);
+    let (c16, c16_l, lwire) = (&suites[3], &suites[4], &suites[5]);
+    let c4 = suites.get(6).unwrap_or(base);
+
+    // --- 1: latency doubling on the baseline. ---
     let d1 = (slow.mean_ipc() / base.mean_ipc() - 1.0) * 100.0;
     println!(
         "1. doubling inter-cluster latency: IPC {:.3} -> {:.3} ({d1:+.1}%; paper: -12%)",
@@ -55,10 +90,6 @@ fn main() {
     claim(&mut metrics, "2x-latency", "ipc_delta_pct", d1);
 
     // --- 2: the enhanced model under doubled latency. ---
-    let mut slow_l_cfg = ProcessorConfig::for_model_spec(&enhanced, base_topology);
-    slow_l_cfg.latency_scale = 2.0;
-    eprintln!("2x-latency + {} suite ...", enhanced.label());
-    let slow_l = run_suite(&slow_l_cfg, scale);
     let d2 = (slow_l.mean_ipc() / slow.mean_ipc() - 1.0) * 100.0;
     println!(
         "2. +{} at 2x latency: IPC {:.3} -> {:.3} ({d2:+.1}%; paper: +7.1%)",
@@ -69,16 +100,6 @@ fn main() {
     claim(&mut metrics, "enhanced-at-2x", "ipc_delta_pct", d2);
 
     // --- 3: 4 -> 16 clusters (pinned to the paper's pair). ---
-    let c4_cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let c4 = if base_topology == Topology::crossbar4() {
-        base
-    } else {
-        eprintln!("4-cluster baseline suite (for the scaling contrast) ...");
-        run_suite(&c4_cfg, scale)
-    };
-    let c16_cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::hier16());
-    eprintln!("16-cluster baseline suite ...");
-    let c16 = run_suite(&c16_cfg, scale);
     let d3 = (c16.mean_ipc() / c4.mean_ipc() - 1.0) * 100.0;
     println!(
         "3. 4 -> 16 clusters: IPC {:.3} -> {:.3} ({d3:+.1}%; paper: +17%)",
@@ -88,9 +109,6 @@ fn main() {
     claim(&mut metrics, "16-clusters", "ipc_delta_pct", d3);
 
     // --- 4: the enhanced model on 16 clusters. ---
-    let c16_l_cfg = ProcessorConfig::for_model_spec(&enhanced, Topology::hier16());
-    eprintln!("16-cluster + {} suite ...", enhanced.label());
-    let c16_l = run_suite(&c16_l_cfg, scale);
     let d4 = (c16_l.mean_ipc() / c16.mean_ipc() - 1.0) * 100.0;
     println!(
         "4. +{} on 16 clusters: IPC {:.3} -> {:.3} ({d4:+.1}%; paper: +7.4%)",
@@ -101,9 +119,6 @@ fn main() {
     claim(&mut metrics, "enhanced-on-16", "ipc_delta_pct", d4);
 
     // --- 5 & 6: LSQ false dependences, narrow predictor (4-cluster run).
-    let l_cfg = ProcessorConfig::for_model_spec(&enhanced, base_topology);
-    eprintln!("4-cluster + {} suite ...", enhanced.label());
-    let lwire = run_suite(&l_cfg, scale);
     let (fd, loads) = lwire.runs.iter().fold((0, 0), |(fd, ld), r| {
         (fd + r.lsq.false_dependences, ld + r.lsq.loads)
     });
@@ -144,5 +159,8 @@ fn main() {
     println!("7. narrow share of integer register traffic: {narrow_pct:.1}% (paper: 14%)");
     claim(&mut metrics, "trace", "narrow_share_pct", narrow_pct);
 
-    emit_metric_artifacts(&metrics, &artifact_paths_from_args());
+    paths.emit(
+        || format_metric_csv(&metrics),
+        || format_metric_json(&metrics),
+    );
 }

@@ -1,15 +1,13 @@
-//! Times the quick-scale Table-3 model sweep two ways — the seed's serial
-//! reference loop and the flattened work-queue executor — verifies the two
+//! Times the quick-scale Table-3 model sweep two ways — inline on one
+//! worker and on the work-queue executor's pool — verifies the two
 //! produce bit-identical results, and appends one CSV row per invocation
 //! to `results/sweep_timing.csv` (pass `--label` to tag the row, `--out`
 //! to redirect it). This is the reproducible before/after number behind
 //! EXPERIMENTS.md's executor section.
 
 use heterowire_bench::timing::{git_revision, time_once, BenchReport, Measurement};
-use heterowire_bench::{
-    executor, parse_topology_token, sweep_runs_serial_set, sweep_runs_set, ModelSet, RunScale,
-};
-use heterowire_core::ModelSpec;
+use heterowire_bench::{completed, executor, or_exit, sweep, Args, Cell, RunScale};
+use heterowire_core::{ModelSpec, ProcessorConfig};
 
 const USAGE: &str = "usage: sweep_timing [--label NAME] [--out CSV_PATH] [--json-out JSON_PATH]\n\
     [--model TOKEN]... [--topology TOKEN]\n\
@@ -20,64 +18,50 @@ const USAGE: &str = "usage: sweep_timing [--label NAME] [--out CSV_PATH] [--json
     --topology (a preset, compact spec or spec file) replaces the default\n\
     4-cluster crossbar";
 
+/// Unwraps a command-line result, or exits with status 2 printing the
+/// error and the usage text.
+fn or_usage<T>(result: Result<T, String>) -> T {
+    or_exit(result.map_err(|e| format!("{e}\n{USAGE}")))
+}
+
 fn main() {
-    let mut label = "run".to_string();
-    let mut out = "results/sweep_timing.csv".to_string();
-    let mut json_out = "results/bench.json".to_string();
-    let mut specs: Vec<ModelSpec> = Vec::new();
-    let mut topo_token = "crossbar4".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = |args: &mut dyn Iterator<Item = String>| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{arg} requires a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--label" => label = value(&mut args),
-            "--out" => out = value(&mut args),
-            "--json-out" => json_out = value(&mut args),
-            "--model" => {
-                let token = value(&mut args);
-                specs.push(ModelSpec::parse(&token).unwrap_or_else(|e| {
-                    eprintln!("--model {token:?}: {e}\n{USAGE}");
-                    std::process::exit(2);
-                }));
-            }
-            "--topology" => topo_token = value(&mut args),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
     }
-    let models = if specs.is_empty() {
-        ModelSet::paper()
-    } else {
-        ModelSet::new(specs).expect("non-empty")
-    };
+    let args = or_usage(Args::parse(
+        argv,
+        &["--label", "--out", "--json-out", "--model", "--topology"],
+        0,
+    ));
+    let label = or_usage(args.value("--label")).unwrap_or("run").to_string();
+    let out = or_usage(args.value("--out"))
+        .unwrap_or("results/sweep_timing.csv")
+        .to_string();
+    let json_out = or_usage(args.value("--json-out"))
+        .unwrap_or("results/bench.json")
+        .to_string();
+    let mut models = or_usage(args.models());
+    if models.is_empty() {
+        models = ModelSpec::paper_presets();
+    }
+    let topology = or_usage(args.topology_or("crossbar4")).topology();
 
     let scale = RunScale::quick();
     let workers = executor::default_workers();
-    let topology = parse_topology_token(&topo_token)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        })
-        .topology();
+    let cells: Vec<Cell> = models
+        .iter()
+        .map(|m| Cell::from_config(ProcessorConfig::for_model_spec(m, topology)))
+        .collect();
 
     eprintln!(
-        "quick-scale model sweep ({} models), serial reference ...",
+        "quick-scale model sweep ({} models), one worker ...",
         models.len()
     );
-    let (serial, t_serial) = time_once(|| sweep_runs_serial_set(&models, topology, scale));
+    let (serial, t_serial) = time_once(|| completed(sweep(&cells, scale, 1)));
     eprintln!("quick-scale model sweep, executor ({workers} workers) ...");
-    let (parallel, t_parallel) = time_once(|| sweep_runs_set(&models, topology, scale, workers));
+    let (parallel, t_parallel) = time_once(|| completed(sweep(&cells, scale, workers)));
 
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.runs, p.runs, "executor must be bit-identical to serial");

@@ -3,7 +3,7 @@
 //! the values derived from the analytical wire models, plus the resulting
 //! network latencies and the transmission-line headroom discussed in §2.
 
-use heterowire_bench::{artifact_paths_from_args, emit_table2_artifacts, ModelSet};
+use heterowire_bench::{format_table2_csv, format_table2_json, or_exit, Args};
 use heterowire_wires::classes::table2;
 use heterowire_wires::geometry::WireGeometry;
 use heterowire_wires::repeater::{DeviceParams, RepeatedWire};
@@ -13,21 +13,16 @@ fn main() {
     // `--model <token>` (preset or `custom:<spec>`) restricts the table to
     // the wire classes that model's link actually uses; repeated flags
     // union their classes. No flag prints every class.
-    let models = ModelSet::from_args(&std::env::args().collect::<Vec<_>>()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = or_exit(Args::from_env(&["--model", "--csv", "--json"], 0));
+    let models = or_exit(args.models());
+    let paths = or_exit(args.artifacts());
     let rows: Vec<_> = table2()
         .into_iter()
-        .filter(|row| match &models {
-            None => true,
-            Some(set) => set
-                .specs()
-                .iter()
-                .any(|spec| spec.link().lanes(row.class) > 0),
+        .filter(|row| {
+            models.is_empty() || models.iter().any(|spec| spec.link().lanes(row.class) > 0)
         })
         .collect();
-    emit_table2_artifacts(&rows, &artifact_paths_from_args());
+    paths.emit(|| format_table2_csv(&rows), || format_table2_json(&rows));
     println!("Table 2: wire delay and relative energy parameters per wire class");
     println!("(canonical = paper values; derived = from the RC/repeater models)\n");
     println!(

@@ -18,52 +18,38 @@
 
 use std::path::PathBuf;
 
-use heterowire_bench::{flag_path_from, parse_topology_token, write_artifact, RunScale, SEED};
-use heterowire_core::{ModelSpec, Processor, ProcessorConfig, RecordingConfig, RecordingProbe};
+use heterowire_bench::{or_exit, write_artifact, Args, RunScale, SEED};
+use heterowire_core::{Processor, ProcessorConfig, RecordingConfig, RecordingProbe};
 use heterowire_telemetry::{chrome_trace, utilization_csv};
 use heterowire_trace::{by_name, TraceGenerator};
 use heterowire_wires::WireClass;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| match args.get(i + 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2);
-            }
-        })
+/// Parses a `--window` token: a positive number of cycles.
+fn parse_window(token: &str) -> Result<u64, String> {
+    match token.parse() {
+        Ok(cycles) if cycles > 0 => Ok(cycles),
+        _ => Err(format!(
+            "--window {token:?}: expected a positive number of cycles"
+        )),
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let model_name = flag_value(&args, "--model").unwrap_or_else(|| "VII".to_string());
-    let bench_name = flag_value(&args, "--bench").unwrap_or_else(|| "gzip".to_string());
-    let topo_name = flag_value(&args, "--topology").unwrap_or_else(|| "crossbar4".to_string());
-    let window: u64 = flag_value(&args, "--window")
-        .map(|v| v.parse().expect("--window takes a cycle count"))
-        .unwrap_or(64);
-    let out_dir = flag_path_from(&args, "--out-dir")
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-        .unwrap_or_else(|| PathBuf::from("results"));
-
-    let model = ModelSpec::parse(&model_name).unwrap_or_else(|e| {
-        eprintln!("--model {model_name:?}: {e}");
-        std::process::exit(2);
-    });
-    let topo_spec = parse_topology_token(&topo_name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = or_exit(Args::from_env(
+        &["--model", "--bench", "--topology", "--window", "--out-dir"],
+        0,
+    ));
+    let model = or_exit(args.model_or("VII"));
+    let bench_name = or_exit(args.value("--bench")).unwrap_or("gzip");
+    let topo_spec = or_exit(args.topology_or("crossbar4"));
+    let window = or_exit(
+        args.value("--window")
+            .and_then(|token| token.map_or(Ok(64), parse_window)),
+    );
+    let out_dir = or_exit(args.path("--out-dir")).unwrap_or_else(|| PathBuf::from("results"));
     let topology = topo_spec.topology();
-    let profile = by_name(&bench_name).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {bench_name:?}");
-        std::process::exit(2);
-    });
+    let profile =
+        or_exit(by_name(bench_name).ok_or_else(|| format!("unknown benchmark {bench_name:?}")));
 
     // Warmup 0 so the recorded network counters reconcile exactly with the
     // end-of-run NetStats.

@@ -11,9 +11,7 @@
 //! Each job runs under [`std::panic::catch_unwind`], so one panicking
 //! configuration (a watchdog abort, a refused spec) surfaces as a
 //! [`JobPanic`] for its row while every other job still completes:
-//! [`run_indexed_catching`] returns the per-job `Result`s, and
-//! [`run_indexed`] keeps the historical all-or-nothing contract by
-//! re-raising the first failure after the pool drains.
+//! [`run_indexed_catching`] returns the per-job `Result`s.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -82,7 +80,7 @@ where
 {
     let n = items.len();
     let workers = workers.clamp(1, n.max(1));
-    let run_one = |i: usize, item: T| {
+    let run_job = |i: usize, item: T| {
         catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| JobPanic {
             index: i,
             message: payload_message(payload),
@@ -92,7 +90,7 @@ where
         return items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| run_one(i, item))
+            .map(|(i, item)| run_job(i, item))
             .collect();
     }
 
@@ -103,7 +101,7 @@ where
             s.spawn(|| loop {
                 let job = queue.lock().expect("executor queue poisoned").pop_front();
                 let Some((i, item)) = job else { break };
-                let result = run_one(i, item);
+                let result = run_job(i, item);
                 *slots[i].lock().expect("executor slot poisoned") = Some(result);
             });
         }
@@ -118,24 +116,6 @@ where
         .collect()
 }
 
-/// [`run_indexed_catching`] with the historical all-or-nothing contract:
-/// returns the plain results, re-raising the first job panic (tagged with
-/// its job index) after every job has run.
-pub fn run_indexed<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    run_indexed_catching(items, workers, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(p) => panic!("{p}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,32 +123,22 @@ mod tests {
     #[test]
     fn preserves_order() {
         for workers in [1, 2, 4, 7] {
-            let out = run_indexed((0..100u64).collect(), workers, |i| i * i);
-            assert_eq!(out, (0..100u64).map(|i| i * i).collect::<Vec<_>>());
+            let out = run_indexed_catching((0..100u64).collect(), workers, |i| i * i);
+            let want: Vec<_> = (0..100u64).map(|i| Ok(i * i)).collect();
+            assert_eq!(out, want);
         }
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u64> = run_indexed(Vec::<u64>::new(), 8, |i| i);
+        let out = run_indexed_catching(Vec::<u64>::new(), 8, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_items() {
-        let out = run_indexed(vec![1u64, 2, 3], 64, |i| i + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sweep job 3 panicked: job 3 exploded")]
-    fn propagates_panics() {
-        run_indexed((0..8u64).collect(), 2, |i| {
-            if i == 3 {
-                panic!("job 3 exploded");
-            }
-            i
-        });
+        let out = run_indexed_catching(vec![1u64, 2, 3], 64, |i| i + 1);
+        assert_eq!(out, vec![Ok(2), Ok(3), Ok(4)]);
     }
 
     #[test]

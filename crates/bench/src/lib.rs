@@ -3,29 +3,43 @@
 //! The experiment harness that regenerates every table and figure of the
 //! HPCA-11 2005 wire-management paper from the `heterowire` simulator:
 //!
-//! | Binary        | Regenerates |
-//! |---------------|-------------|
-//! | `table2`      | Table 2 (wire parameters, derived from physics) |
-//! | `fig3`        | Figure 3 (per-benchmark IPC, baseline vs +L-Wires) |
-//! | `table3`      | Table 3 (Models I–X on 4 clusters) |
-//! | `table4`      | Table 4 (Models I–X on 16 clusters) |
-//! | `sensitivity` | §1/§5.3 scalar claims (2x latency, 4→16 clusters, predictor and LSQ rates) |
-//! | `ablation`    | design-choice sweeps (LS bits, balancer, narrow threshold, per-optimization) |
+//! | Binary         | Regenerates |
+//! |----------------|-------------|
+//! | `table2`       | Table 2 (wire parameters, derived from physics) |
+//! | `fig3`         | Figure 3 (per-benchmark IPC, baseline vs +L-Wires) |
+//! | `table3`       | Table 3 (Models I–X on 4 clusters) |
+//! | `table4`       | Table 4 (Models I–X on 16 clusters) |
+//! | `sensitivity`  | §1/§5.3 scalar claims (2x latency, 4→16 clusters, predictor and LSQ rates) |
+//! | `ablation`     | design-choice sweeps (LS bits, balancer, narrow threshold, per-optimization, extensions) |
+//! | `policy_ab`    | steering-policy race over (topology × model × policy) |
+//! | `fault_sweep`  | steering policies across a wire-fault grid, against a fault-free baseline |
+//! | `telemetry`    | one recorded run: Chrome trace and per-link wire-class utilization |
+//! | `sweep_timing` | wall-clock of the quick model sweep, one worker vs the executor pool |
 //!
-//! The library part hosts the shared experiment-running machinery so the
-//! binaries, the integration tests and the timing benches all run the
-//! exact same code. Suite and sweep runs are parallelised by the bounded
-//! work-queue in [`executor`]; wall-clock measurement lives in [`timing`].
+//! The library is the harness's three layers, shared by the binaries, the
+//! integration tests and the timing benches:
+//!
+//! 1. a [`Cell`] is one grid column — a configuration, a steering policy
+//!    and an optional fault scenario — and [`Cell::run`] is the only path
+//!    from the harness into the simulator;
+//! 2. [`sweep`] runs cells × the 23 SPEC2000 profiles as one job list on
+//!    the bounded work-queue in [`executor`], one [`SuiteResults`] per cell;
+//! 3. each binary is a presentation over that: it declares its flags to
+//!    [`Args`], builds cells, sweeps them and formats the suites.
+//!
+//! Wall-clock measurement lives in [`timing`].
 
 pub mod executor;
 pub mod timing;
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use heterowire_core::{
-    mean_report, relative_report, CriticalityPolicy, EnergyParams, FaultSpec, ModelSpec, NullProbe,
-    Optimizations, OraclePolicy, PaperPolicy, Processor, ProcessorConfig, PwFirstPolicy,
-    RelativeReport, SimResults, SprayPolicy, StallReport,
+    mean_report, relative_report, CriticalityPolicy, EnergyParams, FaultSpec, InjectedFaults,
+    ModelSpec, NullFaultModel, NullProbe, Optimizations, OraclePolicy, PaperPolicy, Processor,
+    ProcessorConfig, PwFirstPolicy, RelativeReport, SimResults, SprayPolicy, StallReport,
+    TransferPolicy,
 };
 use heterowire_interconnect::{Topology, TopologySpec};
 use heterowire_telemetry::json::JsonWriter;
@@ -85,136 +99,13 @@ impl RunScale {
     /// the value on anything else, like every other malformed input.
     pub fn from_env() -> Self {
         let value = std::env::var("HETEROWIRE_SCALE").ok();
-        Self::from_env_value(value.as_deref()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(Self::from_env_value(value.as_deref()))
     }
 }
 
-/// The ordered set of interconnect models a sweep covers. The first entry
-/// is the normalisation baseline every row is reported against; the
-/// default set is the paper's Models I–X (baseline Model I).
-///
-/// Every harness binary accepts repeated `--model <token>` flags, where a
-/// token is a Roman-numeral preset (`VII`) or a data-driven composition
-/// (`custom:b144+pw288+l36`); see [`ModelSpec::parse`].
-#[derive(Debug, Clone)]
-pub struct ModelSet {
-    specs: Vec<ModelSpec>,
-}
-
-impl ModelSet {
-    /// The paper's Models I–X in table order (Model I is the baseline).
-    pub fn paper() -> Self {
-        ModelSet {
-            specs: ModelSpec::paper_presets(),
-        }
-    }
-
-    /// Builds a set from explicit specs; the first is the baseline.
-    pub fn new(specs: Vec<ModelSpec>) -> Result<Self, String> {
-        if specs.is_empty() {
-            return Err("a model set needs at least one model".to_string());
-        }
-        Ok(ModelSet { specs })
-    }
-
-    /// The specs, in sweep order.
-    pub fn specs(&self) -> &[ModelSpec] {
-        &self.specs
-    }
-
-    /// Number of models in the set (never zero).
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Always false — kept for clippy's `len`/`is_empty` pairing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Collects every `--model <token>` pair from an argument list.
-    /// Returns `None` when no `--model` flag is present (caller picks its
-    /// default); a flag without a value or an unparseable token is an
-    /// error.
-    pub fn from_args(args: &[String]) -> Result<Option<Self>, String> {
-        let mut specs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--model" {
-                let token = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--model requires a value".to_string())?;
-                specs.push(ModelSpec::parse(token).map_err(|e| format!("--model {token:?}: {e}"))?);
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        if specs.is_empty() {
-            return Ok(None);
-        }
-        Self::new(specs).map(Some)
-    }
-
-    /// [`ModelSet::from_args`] over `std::env::args`, defaulting to the
-    /// paper set; exits with status 2 on a malformed `--model`.
-    pub fn from_args_or_paper() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_args(&args) {
-            Ok(set) => set.unwrap_or_else(Self::paper),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Parses a single `--model` override from `std::env::args` for binaries
-/// that study one model rather than sweeping a set; `default` (a preset
-/// name or `custom:<spec>` token) applies when no flag is given. Exits
-/// with status 2 on a malformed token or on more than one `--model`.
-pub fn model_override_or(default: &str) -> ModelSpec {
-    let args: Vec<String> = std::env::args().collect();
-    match ModelSet::from_args(&args) {
-        Ok(None) => ModelSpec::parse(default).expect("default model token is valid"),
-        Ok(Some(set)) if set.len() == 1 => set.specs()[0].clone(),
-        Ok(Some(_)) => {
-            eprintln!("this binary takes at most one --model");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Runs one benchmark profile under one processor configuration.
-pub fn run_one(config: ProcessorConfig, profile: BenchmarkProfile, scale: RunScale) -> SimResults {
-    run_one_shared(Arc::new(config), profile, scale)
-}
-
-/// [`run_one`] over a shared configuration — sweep harnesses running one
-/// config across many benchmarks share a single allocation instead of
-/// cloning the whole `ProcessorConfig` per job.
-pub fn run_one_shared(
-    config: Arc<ProcessorConfig>,
-    profile: BenchmarkProfile,
-    scale: RunScale,
-) -> SimResults {
-    let trace = TraceGenerator::new(profile, SEED);
-    Processor::with_shared_config(config, trace).run(scale.window, scale.warmup)
-}
-
-/// A named steering policy the multi-policy A/B harness (`policy_ab`) can
-/// race. Each kind maps to one [`TransferPolicy`] implementation;
-/// [`run_one_policy`] does the monomorphized dispatch.
-///
-/// [`TransferPolicy`]: heterowire_core::TransferPolicy
+/// A named steering policy the harness can race. Each kind maps to one
+/// [`TransferPolicy`] implementation; [`Cell::run`] does the
+/// monomorphized dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// The paper's wire management
@@ -299,38 +190,6 @@ impl PolicyKind {
     }
 }
 
-/// Collects the comma-separated values of every `--policy` flag from an
-/// argument list (`--policy paper,spray --policy oracle` ==
-/// `--policy paper,spray,oracle`). Returns `None` when no flag is present
-/// (caller picks its default); a flag without a value, an unknown name or
-/// a duplicate is an error.
-pub fn policies_from_args(args: &[String]) -> Result<Option<Vec<PolicyKind>>, String> {
-    let mut policies: Vec<PolicyKind> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--policy" {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| "--policy requires a value".to_string())?;
-            for token in value.split(',') {
-                let p = PolicyKind::parse(token)?;
-                if policies.contains(&p) {
-                    return Err(format!("policy {token:?} given more than once"));
-                }
-                policies.push(p);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(if policies.is_empty() {
-        None
-    } else {
-        Some(policies)
-    })
-}
-
 /// Resolves one `--topology` token: a preset name (`crossbar4`, `hier16`),
 /// a compact spec (`xbar:8`, `ring:6x4[@hop<n>][@xbar<n>]`), or the path
 /// of a key=value spec file. Tokens containing `:` are always treated as
@@ -363,283 +222,172 @@ pub fn parse_topology_token(token: &str) -> Result<TopologySpec, String> {
     Ok(spec)
 }
 
-/// The ordered set of topologies a race covers, mirroring [`ModelSet`]:
-/// every harness binary accepts repeated `--topology <token>` flags (see
-/// [`parse_topology_token`] for the token forms); single-topology binaries
-/// use [`topology_override_or`] instead.
+/// One column of an experiment grid: a processor configuration, the
+/// steering policy racing on it and the transient half of a fault
+/// scenario (its stuck lanes are already retired from the
+/// configuration's link). [`sweep`] runs a cell once per benchmark.
 #[derive(Debug, Clone)]
-pub struct TopologySet {
-    specs: Vec<TopologySpec>,
-}
-
-impl TopologySet {
-    /// Builds a set from explicit specs.
-    pub fn new(specs: Vec<TopologySpec>) -> Result<Self, String> {
-        if specs.is_empty() {
-            return Err("a topology set needs at least one topology".to_string());
-        }
-        Ok(TopologySet { specs })
-    }
-
-    /// The specs, in sweep order.
-    pub fn specs(&self) -> &[TopologySpec] {
-        &self.specs
-    }
-
-    /// Number of topologies in the set (never zero).
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Always false — kept for clippy's `len`/`is_empty` pairing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Collects every `--topology <token>` pair from an argument list.
-    /// Returns `None` when no flag is present (caller picks its default);
-    /// a flag without a value or an unparseable token is an error.
-    pub fn from_args(args: &[String]) -> Result<Option<Self>, String> {
-        let mut specs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--topology" {
-                let token = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--topology requires a value".to_string())?;
-                specs.push(parse_topology_token(token)?);
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        if specs.is_empty() {
-            return Ok(None);
-        }
-        Self::new(specs).map(Some)
-    }
-
-    /// [`TopologySet::from_args`] over `std::env::args`, defaulting to the
-    /// single topology named by `default`; exits with status 2 on a
-    /// malformed `--topology`.
-    pub fn from_args_or(default: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_args(&args) {
-            Ok(Some(set)) => set,
-            Ok(None) => {
-                let spec = parse_topology_token(default).expect("default topology token is valid");
-                TopologySet { specs: vec![spec] }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Parses an optional single `--topology` flag (preset, spec or spec-file
-/// token). `Ok(None)` when the flag is absent; `Err` on a malformed token
-/// or a repeated flag.
-pub fn topology_from_args(args: &[String]) -> Result<Option<TopologySpec>, String> {
-    match TopologySet::from_args(args)? {
-        None => Ok(None),
-        Some(set) if set.len() == 1 => Ok(Some(set.specs()[0])),
-        Some(_) => Err("--topology given more than once".to_string()),
-    }
-}
-
-/// Parses a single `--topology` override from `std::env::args` for
-/// binaries that study one topology rather than racing a set; `default`
-/// applies when no flag is given. Exits with status 2 on a malformed token
-/// or on more than one `--topology`.
-pub fn topology_override_or(default: &str) -> TopologySpec {
-    let args: Vec<String> = std::env::args().collect();
-    match topology_from_args(&args) {
-        Ok(None) => parse_topology_token(default).expect("default topology token is valid"),
-        Ok(Some(spec)) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Runs one benchmark profile under one configuration with the named
-/// steering policy. `PolicyKind::Paper` takes the exact default-processor
-/// construction path, so its results are bit-identical to
-/// [`run_one_shared`].
-pub fn run_one_policy(
+pub struct Cell {
     config: Arc<ProcessorConfig>,
-    profile: BenchmarkProfile,
-    scale: RunScale,
     policy: PolicyKind,
-) -> SimResults {
-    let trace = TraceGenerator::new(profile, SEED);
-    match policy {
-        PolicyKind::Paper => {
-            Processor::with_shared_config(config, trace).run(scale.window, scale.warmup)
-        }
-        PolicyKind::Spray => {
-            let p = SprayPolicy::new(&config.link);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-        PolicyKind::Criticality => {
-            let p = CriticalityPolicy::new(&config);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-        PolicyKind::PwFirst => {
-            let p = PwFirstPolicy::new(&config);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-        PolicyKind::Oracle => {
-            let p = OraclePolicy::new(&config);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-    }
+    /// The scenario's seeded bit-error injector, when it has any rates.
+    injector: Option<InjectedFaults>,
 }
 
-/// Builds the processor configuration for a model on a topology with a
-/// fault scenario's stuck lanes already retired from the link — the
-/// optimization set is recomputed for the surviving planes, so steering
-/// policies and the load balancer see the degraded fabric, not the
-/// nominal one. `None` (or a spec with no stuck lanes) reproduces
-/// [`ProcessorConfig::for_model_spec`] exactly.
-pub fn degraded_config(
-    model: &ModelSpec,
-    topology: Topology,
-    faults: Option<&FaultSpec>,
-) -> Result<ProcessorConfig, String> {
-    let mut config = ProcessorConfig::for_model_spec(model, topology);
-    if let Some(spec) = faults.filter(|s| !s.stuck_lanes().is_empty()) {
-        let link = spec
-            .apply_to_link(&config.link)
-            .map_err(|e| e.to_string())?;
-        config.opts = Optimizations::for_link(&link);
-        config.link = link;
+impl Cell {
+    /// The cell for `model` on `topology` under `policy` and an optional
+    /// fault scenario. The policy is checked against the nominal model
+    /// (see [`PolicyKind::check_supported`]) before the scenario's stuck
+    /// lanes are retired from the link; the optimization set is then
+    /// recomputed for the surviving planes, so the policy and the load
+    /// balancer see the degraded fabric. A scenario that leaves no legal
+    /// plane is refused with a message naming the scenario.
+    pub fn new(
+        model: &ModelSpec,
+        topology: Topology,
+        policy: PolicyKind,
+        faults: Option<&FaultSpec>,
+    ) -> Result<Self, String> {
+        policy.check_supported(model)?;
+        let mut config = ProcessorConfig::for_model_spec(model, topology);
+        if let Some(spec) = faults.filter(|s| !s.stuck_lanes().is_empty()) {
+            config.link = spec
+                .apply_to_link(&config.link)
+                .map_err(|e| format!("{spec}: {e}"))?;
+            config.opts = Optimizations::for_link(&config.link);
+        }
+        Ok(Cell {
+            config: Arc::new(config),
+            policy,
+            injector: faults
+                .filter(|s| s.has_transient())
+                .map(FaultSpec::injector),
+        })
     }
-    Ok(config)
-}
 
-/// [`run_one_policy`] under a fault scenario: transient rates drive the
-/// seeded injector inside the network, and the watchdog's stall report
-/// comes back as a structured error instead of a panic (a saturated rate
-/// can livelock the fabric legitimately — that is a failed row, not a
-/// dead sweep). `config` must already carry the scenario's degraded link
-/// (see [`degraded_config`]). With `faults` absent or transient-free the
-/// run takes the exact fault-free construction path, so results are
-/// bit-identical to [`run_one_policy`].
-pub fn run_one_policy_faults(
-    config: Arc<ProcessorConfig>,
-    profile: BenchmarkProfile,
-    scale: RunScale,
-    policy: PolicyKind,
-    faults: Option<&FaultSpec>,
-) -> Result<SimResults, Box<StallReport>> {
-    let trace = TraceGenerator::new(profile, SEED);
-    let Some(spec) = faults.filter(|s| s.has_transient()) else {
-        return Ok(run_one_policy(config, profile, scale, policy));
-    };
-    let inj = spec.injector();
-    match policy {
-        PolicyKind::Paper => {
-            let p = PaperPolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::Spray => {
-            let p = SprayPolicy::new(&config.link);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::Criticality => {
-            let p = CriticalityPolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::PwFirst => {
-            let p = PwFirstPolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::Oracle => {
-            let p = OraclePolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
+    /// A fault-free paper-policy cell over a hand-built configuration
+    /// (ablations, sensitivity studies, Figure 3's single-layer baseline).
+    pub fn from_config(config: ProcessorConfig) -> Self {
+        Cell {
+            config: Arc::new(config),
+            policy: PolicyKind::Paper,
+            injector: None,
         }
     }
-}
 
-/// Collects every repeated `--faults <spec>` flag in CLI order. Malformed
-/// tokens and exact duplicates (by canonical name) are errors; binaries
-/// report them and exit 2, matching the `--model` convention.
-pub fn fault_specs_from_args(args: &[String]) -> Result<Vec<FaultSpec>, String> {
-    let mut specs: Vec<FaultSpec> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--faults" {
-            let token = args
-                .get(i + 1)
-                .ok_or("--faults needs a fault spec (e.g. --faults l@2e-4)")?;
-            let spec = FaultSpec::parse(token).map_err(|e| format!("--faults {token:?}: {e}"))?;
-            if specs.iter().any(|s| s.name() == spec.name()) {
-                return Err(format!("duplicate --faults {token:?}"));
+    /// The configuration this cell simulates.
+    pub fn config(&self) -> &ProcessorConfig {
+        &self.config
+    }
+
+    /// Runs one benchmark profile under this cell. A run that stops
+    /// committing (a retry storm under a saturated fault rate) returns the
+    /// watchdog's stall report instead of panicking: that is a failed row,
+    /// not a dead sweep.
+    pub fn run(
+        &self,
+        profile: BenchmarkProfile,
+        scale: RunScale,
+    ) -> Result<SimResults, Box<StallReport>> {
+        let config = &self.config;
+        match self.policy {
+            PolicyKind::Paper => self.run_with(PaperPolicy::new(config), profile, scale),
+            PolicyKind::Spray => self.run_with(SprayPolicy::new(&config.link), profile, scale),
+            PolicyKind::Criticality => {
+                self.run_with(CriticalityPolicy::new(config), profile, scale)
             }
-            specs.push(spec);
-            i += 2;
-        } else {
-            i += 1;
+            PolicyKind::PwFirst => self.run_with(PwFirstPolicy::new(config), profile, scale),
+            PolicyKind::Oracle => self.run_with(OraclePolicy::new(config), profile, scale),
         }
     }
-    Ok(specs)
+
+    fn run_with<T: TransferPolicy>(
+        &self,
+        policy: T,
+        profile: BenchmarkProfile,
+        scale: RunScale,
+    ) -> Result<SimResults, Box<StallReport>> {
+        let config = Arc::clone(&self.config);
+        let trace = TraceGenerator::new(profile, SEED);
+        match self.injector {
+            None => Processor::with_faults_shared(config, trace, NullProbe, policy, NullFaultModel)
+                .try_run(scale.window, scale.warmup),
+            Some(inj) => Processor::with_faults_shared(config, trace, NullProbe, policy, inj)
+                .try_run(scale.window, scale.warmup),
+        }
+    }
 }
 
-/// Runs every (model × policy × benchmark) triple of a policy race as one
-/// flattened job list on the shared executor. Returns suites indexed
-/// `[model][policy]` in the given orders.
-pub fn policy_sweep_runs(
-    models: &ModelSet,
-    policies: &[PolicyKind],
-    topology: Topology,
-    scale: RunScale,
-    workers: usize,
-) -> Vec<Vec<SuiteResults>> {
-    assert!(
-        !policies.is_empty(),
-        "a policy race needs at least one policy"
-    );
+/// Per-benchmark results of one cell over the whole suite.
+#[derive(Debug, Clone)]
+pub struct SuiteResults {
+    /// Benchmark names, in suite order.
+    pub names: Vec<&'static str>,
+    /// One result per benchmark.
+    pub runs: Vec<SimResults>,
+}
+
+impl SuiteResults {
+    /// Arithmetic-mean IPC (the paper's aggregate).
+    pub fn mean_ipc(&self) -> f64 {
+        heterowire_core::mean_ipc(&self.runs)
+    }
+
+    /// The mean of the per-benchmark reports of this suite relative to
+    /// `baseline`, benchmark by benchmark (the paper's normalisation).
+    pub fn relative_to(&self, baseline: &SuiteResults, params: EnergyParams) -> RelativeReport {
+        let reports: Vec<_> = self
+            .runs
+            .iter()
+            .zip(&baseline.runs)
+            .map(|(m, b)| relative_report(m, b, params))
+            .collect();
+        mean_report(&reports)
+    }
+}
+
+/// Runs every (cell × SPEC2000 benchmark) job as one list on a pool of
+/// `workers` threads (`1` runs them inline, in order) and returns one
+/// suite per cell, in cell order. Runs are independent and
+/// deterministic, so the worker count changes nothing but wall-clock
+/// time. A cell with a benchmark that stalls or panics comes back as an
+/// error naming the first such benchmark; every other cell completes.
+pub fn sweep(cells: &[Cell], scale: RunScale, workers: usize) -> Vec<Result<SuiteResults, String>> {
     let profiles = spec2000();
     let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    let configs: Vec<Arc<ProcessorConfig>> = models
-        .specs()
+    let jobs: Vec<(&Cell, BenchmarkProfile)> = cells
         .iter()
-        .map(|spec| Arc::new(ProcessorConfig::for_model_spec(spec, topology)))
+        .flat_map(|cell| profiles.iter().map(move |&p| (cell, p)))
         .collect();
-    let mut jobs: Vec<(usize, PolicyKind, BenchmarkProfile)> =
-        Vec::with_capacity(configs.len() * policies.len() * profiles.len());
-    for mi in 0..configs.len() {
-        for &pk in policies {
-            for &p in &profiles {
-                jobs.push((mi, pk, p));
-            }
-        }
-    }
-    let results = executor::run_indexed(jobs, workers, |(mi, pk, profile)| {
-        run_one_policy(configs[mi].clone(), profile, scale, pk)
-    });
-    results
+    let outcomes =
+        executor::run_indexed_catching(jobs, workers, |(cell, profile)| cell.run(profile, scale));
+    outcomes
         .chunks(names.len())
-        .map(|runs| SuiteResults {
-            names: names.clone(),
-            runs: runs.to_vec(),
+        .map(|chunk| {
+            let runs = chunk
+                .iter()
+                .zip(&names)
+                .map(|(outcome, name)| match outcome {
+                    Ok(Ok(r)) => Ok(*r),
+                    Ok(Err(stall)) => Err(format!("{name}: {stall}")),
+                    Err(panic) => Err(format!("{name}: {panic}")),
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(SuiteResults {
+                names: names.clone(),
+                runs,
+            })
         })
-        .collect::<Vec<_>>()
-        .chunks(policies.len())
-        .map(|s| s.to_vec())
+        .collect()
+}
+
+/// The suites of a sweep whose cells must all complete: without fault
+/// injection a stall or a panic is a simulator bug, so this panics with
+/// the first failure.
+pub fn completed(outcomes: Vec<Result<SuiteResults, String>>) -> Vec<SuiteResults> {
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.unwrap_or_else(|e| panic!("{e}")))
         .collect()
 }
 
@@ -672,17 +420,8 @@ pub fn policy_metric_rows(
     let baseline = &suites[0];
     let mut rows = Vec::new();
     for (&pk, suite) in policies.iter().zip(suites) {
-        let reports = |params: EnergyParams| -> RelativeReport {
-            let rs: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, params))
-                .collect();
-            mean_report(&rs)
-        };
-        let at_10 = reports(EnergyParams::ten_percent());
-        let at_20 = reports(EnergyParams::twenty_percent());
+        let at_10 = suite.relative_to(baseline, EnergyParams::ten_percent());
+        let at_20 = suite.relative_to(baseline, EnergyParams::twenty_percent());
         let ic_dyn: f64 = suite.runs.iter().map(|r| r.net.dynamic_energy).sum();
         let label = pk.name();
         rows.push(MetricRow::new(&section, label, "am_ipc", suite.mean_ipc()));
@@ -728,15 +467,6 @@ pub fn format_policy_table(
         "ED2(20%)"
     );
     for (&pk, suite) in policies.iter().zip(suites) {
-        let rel = |params: EnergyParams| {
-            let rs: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, params))
-                .collect();
-            mean_report(&rs).rel_ed2
-        };
         out.push_str(&format!(
             "{:<12} {:>6.3} {:>6.1} {:>6.1} {:>6.1} {:>10.0} {:>9.1} {:>9.1}\n",
             pk.name(),
@@ -745,46 +475,15 @@ pub fn format_policy_table(
             suite_class_share(suite, WireClass::Pw),
             suite_class_share(suite, WireClass::L),
             suite.runs.iter().map(|r| r.net.dynamic_energy).sum::<f64>(),
-            rel(EnergyParams::ten_percent()),
-            rel(EnergyParams::twenty_percent()),
+            suite
+                .relative_to(baseline, EnergyParams::ten_percent())
+                .rel_ed2,
+            suite
+                .relative_to(baseline, EnergyParams::twenty_percent())
+                .rel_ed2,
         ));
     }
     out
-}
-
-/// Per-benchmark results of one model over the whole suite.
-#[derive(Debug, Clone)]
-pub struct SuiteResults {
-    /// Benchmark names, in suite order.
-    pub names: Vec<&'static str>,
-    /// One result per benchmark.
-    pub runs: Vec<SimResults>,
-}
-
-impl SuiteResults {
-    /// Arithmetic-mean IPC (the paper's aggregate).
-    pub fn mean_ipc(&self) -> f64 {
-        heterowire_core::mean_ipc(&self.runs)
-    }
-}
-
-/// Runs the full 23-benchmark suite under a configuration on the shared
-/// work-queue executor, sized to the host's hardware threads. Runs are
-/// independent and deterministic, so parallelism changes nothing but
-/// wall-clock time.
-pub fn run_suite(config: &ProcessorConfig, scale: RunScale) -> SuiteResults {
-    run_suite_on(config, scale, executor::default_workers())
-}
-
-/// [`run_suite`] with an explicit worker count (`1` = serial).
-pub fn run_suite_on(config: &ProcessorConfig, scale: RunScale, workers: usize) -> SuiteResults {
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    let shared = Arc::new(config.clone());
-    let runs = executor::run_indexed(profiles, workers, |p| {
-        run_one_shared(shared.clone(), p, scale)
-    });
-    SuiteResults { names, runs }
 }
 
 /// One row of the regenerated Table 3/4.
@@ -802,133 +501,24 @@ pub struct ModelRow {
     pub at_20: RelativeReport,
 }
 
-/// Runs every (model × benchmark) pair of a model sweep as one flattened
-/// job list on the shared executor, returning one [`SuiteResults`] per
-/// model in set order. The first model runs exactly once; its runs double
-/// as the baseline for every row.
-pub fn sweep_runs_set(
-    models: &ModelSet,
-    topology: Topology,
-    scale: RunScale,
-    workers: usize,
-) -> Vec<SuiteResults> {
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    // One shared config per model; jobs carry an index into it plus a
-    // by-value (`Copy`) profile — nothing is cloned per job.
-    let configs: Vec<Arc<ProcessorConfig>> = models
-        .specs()
-        .iter()
-        .map(|spec| Arc::new(ProcessorConfig::for_model_spec(spec, topology)))
-        .collect();
-    let jobs: Vec<(usize, BenchmarkProfile)> = (0..configs.len())
-        .flat_map(|mi| profiles.iter().map(move |&p| (mi, p)))
-        .collect();
-    let results = executor::run_indexed(jobs, workers, |(mi, profile)| {
-        run_one_shared(configs[mi].clone(), profile, scale)
-    });
-    results
-        .chunks(names.len())
-        .map(|runs| SuiteResults {
-            names: names.clone(),
-            runs: runs.to_vec(),
-        })
-        .collect()
-}
-
-/// [`sweep_runs_set`] over the paper's Models I–X.
-pub fn sweep_runs(topology: Topology, scale: RunScale, workers: usize) -> Vec<SuiteResults> {
-    sweep_runs_set(&ModelSet::paper(), topology, scale, workers)
-}
-
-/// Serial reference for [`sweep_runs_set`]: the seed's original shape — a
-/// plain nested loop over models and benchmarks on the calling thread.
-/// Kept so the determinism test can assert the parallel path is
-/// bit-identical.
-pub fn sweep_runs_serial_set(
-    models: &ModelSet,
-    topology: Topology,
-    scale: RunScale,
-) -> Vec<SuiteResults> {
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    models
-        .specs()
-        .iter()
-        .map(|spec| {
-            let runs = profiles
-                .iter()
-                .map(|&p| run_one(ProcessorConfig::for_model_spec(spec, topology), p, scale))
-                .collect();
-            SuiteResults {
-                names: names.clone(),
-                runs,
-            }
-        })
-        .collect()
-}
-
-/// [`sweep_runs_serial_set`] over the paper's Models I–X.
-pub fn sweep_runs_serial(topology: Topology, scale: RunScale) -> Vec<SuiteResults> {
-    sweep_runs_serial_set(&ModelSet::paper(), topology, scale)
-}
-
-/// Builds Table-3/4-style rows from per-model suite results; `suites[0]`
-/// (the set's first model) is the baseline every row is normalised
-/// against.
-pub fn rows_from_runs_set(models: &ModelSet, suites: &[SuiteResults]) -> Vec<ModelRow> {
+/// Builds Table-3/4-style rows from per-model suite results, one per
+/// model in order; `suites[0]` (the first model) is the baseline every
+/// row is normalised against.
+pub fn model_rows(models: &[ModelSpec], suites: &[SuiteResults]) -> Vec<ModelRow> {
     assert_eq!(suites.len(), models.len());
     let baseline = &suites[0];
     models
-        .specs()
         .iter()
         .zip(suites)
-        .map(|(model, suite)| {
-            let reports_10: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, EnergyParams::ten_percent()))
-                .collect();
-            let reports_20: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, EnergyParams::twenty_percent()))
-                .collect();
-            ModelRow {
-                model: model.clone(),
-                description: model.description(),
-                metal_area: model.relative_metal_area(),
-                at_10: mean_report(&reports_10),
-                at_20: mean_report(&reports_20),
-            }
+        .map(|(model, suite)| ModelRow {
+            model: model.clone(),
+            description: model.description(),
+            metal_area: model.relative_metal_area(),
+            at_10: suite.relative_to(baseline, EnergyParams::ten_percent()),
+            at_20: suite.relative_to(baseline, EnergyParams::twenty_percent()),
         })
         .collect()
 }
-
-/// [`rows_from_runs_set`] over the paper's Models I–X (the suites must be
-/// a full I–X sweep in table order).
-pub fn rows_from_runs(suites: &[SuiteResults]) -> Vec<ModelRow> {
-    rows_from_runs_set(&ModelSet::paper(), suites)
-}
-
-/// Regenerates a Table-3/4-style model sweep on the given topology.
-/// Returns one row per model in the set, each relative to the set's first
-/// model. All (model × benchmark) runs execute on one executor pool sized
-/// to the host's hardware threads.
-pub fn model_sweep_set(models: &ModelSet, topology: Topology, scale: RunScale) -> Vec<ModelRow> {
-    rows_from_runs_set(
-        models,
-        &sweep_runs_set(models, topology, scale, executor::default_workers()),
-    )
-}
-
-/// [`model_sweep_set`] over the paper's Models I–X.
-pub fn model_sweep(topology: Topology, scale: RunScale) -> Vec<ModelRow> {
-    model_sweep_set(&ModelSet::paper(), topology, scale)
-}
-
 /// Formats a model sweep as an aligned text table (Table-3 layout).
 pub fn format_model_table(rows: &[ModelRow], include_10: bool) -> String {
     let mut out = String::new();
@@ -1002,30 +592,38 @@ pub fn format_model_csv(rows: &[ModelRow]) -> String {
     out
 }
 
-/// Formats per-benchmark suite results as CSV (one row per benchmark).
-pub fn format_suite_csv(suite: &SuiteResults) -> String {
-    let mut out = String::from(
-        "benchmark,instructions,cycles,ipc,transfers_per_inst,\
-         ic_dynamic_energy,l1_misses,l2_misses,mispredict_rate,\
-         false_dep_rate,narrow_coverage\n",
-    );
-    for (name, r) in suite.names.iter().zip(&suite.runs) {
-        out.push_str(&format!(
-            "{},{},{},{:.4},{:.3},{:.1},{},{},{:.4},{:.4},{:.4}\n",
-            name,
-            r.instructions,
-            r.cycles,
-            r.ipc(),
-            r.transfers_per_inst(),
-            r.net.dynamic_energy,
-            r.mem.l1_misses,
-            r.mem.l2_misses,
-            r.fetch.mispredict_rate(),
-            r.lsq.false_dependence_rate(),
-            r.narrow_coverage,
-        ));
-    }
-    out
+/// Formats labelled per-benchmark suites as CSV: one block per suite (a
+/// header and one row per benchmark), blocks separated by a blank line.
+pub fn format_suite_csv(suites: &[(&str, &SuiteResults)]) -> String {
+    let block = |suite: &SuiteResults| {
+        let mut out = String::from(
+            "benchmark,instructions,cycles,ipc,transfers_per_inst,\
+             ic_dynamic_energy,l1_misses,l2_misses,mispredict_rate,\
+             false_dep_rate,narrow_coverage\n",
+        );
+        for (name, r) in suite.names.iter().zip(&suite.runs) {
+            out.push_str(&format!(
+                "{},{},{},{:.4},{:.3},{:.1},{},{},{:.4},{:.4},{:.4}\n",
+                name,
+                r.instructions,
+                r.cycles,
+                r.ipc(),
+                r.transfers_per_inst(),
+                r.net.dynamic_energy,
+                r.mem.l1_misses,
+                r.mem.l2_misses,
+                r.fetch.mispredict_rate(),
+                r.lsq.false_dependence_rate(),
+                r.narrow_coverage,
+            ));
+        }
+        out
+    };
+    suites
+        .iter()
+        .map(|(_, suite)| block(suite))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// Formats a model sweep as one JSON document (the `--json` companion to
@@ -1128,128 +726,6 @@ pub fn format_table2_json(rows: &[Table2Row]) -> String {
     w.end_object();
     w.finish()
 }
-
-/// Parses an optional `--<flag> <path>` argument pair from an argument
-/// list. A flag without a following path is an error rather than a silent
-/// `None` (the caller asked for an artifact and would not get one).
-pub fn flag_path_from(args: &[String], flag: &str) -> Result<Option<std::path::PathBuf>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => Ok(Some(std::path::PathBuf::from(p))),
-            None => Err(format!("{flag} requires a path argument")),
-        },
-    }
-}
-
-/// [`flag_path_from`] for the original `--csv` flag (kept for callers that
-/// only emit CSV).
-pub fn csv_path_from(args: &[String]) -> Result<Option<std::path::PathBuf>, String> {
-    flag_path_from(args, "--csv")
-}
-
-/// [`csv_path_from`] over `std::env::args`; exits with status 2 on a
-/// malformed `--csv` (same convention as `sweep_timing`'s flag handling).
-pub fn csv_path_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    match csv_path_from(&args) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The machine-readable outputs a harness binary was asked for.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ArtifactPaths {
-    /// `--csv <path>` destination, if requested.
-    pub csv: Option<std::path::PathBuf>,
-    /// `--json <path>` destination, if requested.
-    pub json: Option<std::path::PathBuf>,
-}
-
-/// Parses the `--csv` / `--json` artifact flags shared by the harness
-/// binaries.
-pub fn artifact_paths_from(args: &[String]) -> Result<ArtifactPaths, String> {
-    Ok(ArtifactPaths {
-        csv: flag_path_from(args, "--csv")?,
-        json: flag_path_from(args, "--json")?,
-    })
-}
-
-/// [`artifact_paths_from`] over `std::env::args`; exits with status 2 on a
-/// malformed flag.
-pub fn artifact_paths_from_args() -> ArtifactPaths {
-    let args: Vec<String> = std::env::args().collect();
-    match artifact_paths_from(&args) {
-        Ok(paths) => paths,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Writes one artifact file, logging the destination (the binaries' shared
-/// write-and-announce convention). A filesystem refusal (missing
-/// permission, read-only mount, bad path) exits with status 2 naming the
-/// path, matching the binaries' malformed-flag convention — results are
-/// the whole point of a sweep, so a silent or cryptic loss is not
-/// acceptable.
-pub fn write_artifact(path: &std::path::Path, contents: &str) {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("cannot create artifact directory {}: {e}", parent.display());
-            std::process::exit(2);
-        }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write artifact {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    eprintln!("wrote {}", path.display());
-}
-
-/// Emits the requested `--csv` / `--json` artifacts for a model sweep.
-pub fn emit_model_artifacts(rows: &[ModelRow], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        write_artifact(path, &format_model_csv(rows));
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_model_json(rows));
-    }
-}
-
-/// Emits the requested `--csv` / `--json` artifacts for labelled
-/// per-benchmark suites. The CSV keeps the historical shape — one
-/// [`format_suite_csv`] block per suite, blank-line separated.
-pub fn emit_suite_artifacts(suites: &[(&str, &SuiteResults)], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        let csv = suites
-            .iter()
-            .map(|(_, s)| format_suite_csv(s))
-            .collect::<Vec<_>>()
-            .join("\n");
-        write_artifact(path, &csv);
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_suite_json(suites));
-    }
-}
-
-/// Emits the requested `--csv` / `--json` artifacts for (a subset of) the
-/// Table-2 wire-parameter rows.
-pub fn emit_table2_artifacts(rows: &[Table2Row], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        write_artifact(path, &format_table2_csv(rows));
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_table2_json(rows));
-    }
-}
-
 /// One labelled scalar from an ablation or sensitivity study: the
 /// machine-readable shape behind those binaries' `--csv` / `--json`
 /// output. `section` names the study (e.g. `ls-bits`), `label` the swept
@@ -1311,15 +787,214 @@ pub fn format_metric_json(rows: &[MetricRow]) -> String {
     w.finish()
 }
 
-/// Emits the requested `--csv` / `--json` artifacts for study metrics
-/// (the shared back end of the `ablation` and `sensitivity` binaries).
-pub fn emit_metric_artifacts(rows: &[MetricRow], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        write_artifact(path, &format_metric_csv(rows));
+/// A harness binary's command line, collected against the flags the
+/// binary declares. Every declared flag takes one value (`--flag value`)
+/// and may be repeated; the typed accessors decide whether a repeat is
+/// legal. An undeclared flag or a surplus bare token is refused, naming
+/// the token, so a typo (`--modle X`) can never fall back to a default
+/// sweep.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// `(flag, value)` pairs in command-line order.
+    flags: Vec<(String, String)>,
+    /// Bare (non-flag) tokens in command-line order.
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Collects `args` (without the program name) against the declared
+    /// value-taking `flags`, accepting at most `positionals` bare tokens.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        flags: &[&str],
+        positionals: usize,
+    ) -> Result<Self, String> {
+        let mut out = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if flags.contains(&arg.as_str()) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires a value"))?;
+                out.flags.push((arg, value));
+            } else if arg.starts_with('-') {
+                return Err(format!(
+                    "unknown flag {arg:?}; this binary takes {}",
+                    flags.join(", ")
+                ));
+            } else if out.positionals.len() < positionals {
+                out.positionals.push(arg);
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+        }
+        Ok(out)
     }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_metric_json(rows));
+
+    /// [`Args::parse`] over the process's own command line.
+    pub fn from_env(flags: &[&str], positionals: usize) -> Result<Self, String> {
+        Self::parse(std::env::args().skip(1), flags, positionals)
     }
+
+    fn values(&self, flag: &str) -> Vec<&str> {
+        self.flags
+            .iter()
+            .filter(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+            .collect()
+    }
+
+    /// The value of a flag that may be given at most once.
+    pub fn value(&self, flag: &str) -> Result<Option<&str>, String> {
+        match self.values(flag)[..] {
+            [] => Ok(None),
+            [value] => Ok(Some(value)),
+            _ => Err(format!("{flag} given more than once")),
+        }
+    }
+
+    /// The first bare token, if any.
+    pub fn positional(&self) -> Option<&str> {
+        self.positionals.first().map(String::as_str)
+    }
+
+    /// Every `--model` token (a Roman-numeral preset such as `VII`, or a
+    /// composition such as `custom:b144+pw288+l36`; see
+    /// [`ModelSpec::parse`]), in order; empty when none is given. In a
+    /// sweep the first model is the normalisation baseline.
+    pub fn models(&self) -> Result<Vec<ModelSpec>, String> {
+        self.values("--model")
+            .into_iter()
+            .map(|token| ModelSpec::parse(token).map_err(|e| format!("--model {token:?}: {e}")))
+            .collect()
+    }
+
+    /// The one `--model` of a binary that studies a single model, or
+    /// `default` (a preset or `custom:` token) when none is given.
+    pub fn model_or(&self, default: &str) -> Result<ModelSpec, String> {
+        let mut models = self.models()?;
+        match models.len() {
+            0 => Ok(ModelSpec::parse(default).expect("default model token is valid")),
+            1 => Ok(models.remove(0)),
+            _ => Err("this binary takes at most one --model".to_string()),
+        }
+    }
+
+    /// Every `--topology` token (see [`parse_topology_token`]), in order;
+    /// empty when none is given.
+    pub fn topologies(&self) -> Result<Vec<TopologySpec>, String> {
+        self.values("--topology")
+            .into_iter()
+            .map(parse_topology_token)
+            .collect()
+    }
+
+    /// The one `--topology` of a single-topology binary, or `default`
+    /// when none is given.
+    pub fn topology_or(&self, default: &str) -> Result<TopologySpec, String> {
+        match self.topologies()?.as_slice() {
+            [] => Ok(parse_topology_token(default).expect("default topology token is valid")),
+            [one] => Ok(*one),
+            _ => Err("--topology given more than once".to_string()),
+        }
+    }
+
+    /// The comma-separated values of every `--policy` flag, in order
+    /// (`--policy paper,spray --policy oracle` ==
+    /// `--policy paper,spray,oracle`); empty when none is given. An
+    /// unknown name or a duplicate is an error.
+    pub fn policies(&self) -> Result<Vec<PolicyKind>, String> {
+        let mut policies = Vec::new();
+        for token in self
+            .values("--policy")
+            .into_iter()
+            .flat_map(|v| v.split(','))
+        {
+            let p = PolicyKind::parse(token)?;
+            if policies.contains(&p) {
+                return Err(format!("policy {token:?} given more than once"));
+            }
+            policies.push(p);
+        }
+        Ok(policies)
+    }
+
+    /// Every `--faults` scenario, in order; empty when none is given.
+    /// Exact duplicates (by canonical name) are an error.
+    pub fn faults(&self) -> Result<Vec<FaultSpec>, String> {
+        let mut specs: Vec<FaultSpec> = Vec::new();
+        for token in self.values("--faults") {
+            let spec = FaultSpec::parse(token).map_err(|e| format!("--faults {token:?}: {e}"))?;
+            if specs.iter().any(|s| s.name() == spec.name()) {
+                return Err(format!("duplicate --faults {token:?}"));
+            }
+            specs.push(spec);
+        }
+        Ok(specs)
+    }
+
+    /// The path given to a single-valued path flag such as `--out-dir`.
+    pub fn path(&self, flag: &str) -> Result<Option<PathBuf>, String> {
+        Ok(self.value(flag)?.map(PathBuf::from))
+    }
+
+    /// The `--csv` / `--json` artifact destinations.
+    pub fn artifacts(&self) -> Result<ArtifactPaths, String> {
+        Ok(ArtifactPaths {
+            csv: self.path("--csv")?,
+            json: self.path("--json")?,
+        })
+    }
+}
+
+/// Unwraps a command-line result, or prints the error and exits with
+/// status 2 — the binaries' convention for every malformed input.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The machine-readable outputs a harness binary was asked for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ArtifactPaths {
+    /// `--csv <path>` destination, if requested.
+    pub csv: Option<PathBuf>,
+    /// `--json <path>` destination, if requested.
+    pub json: Option<PathBuf>,
+}
+
+impl ArtifactPaths {
+    /// Writes the requested artifacts, rendering each only when asked for.
+    pub fn emit(&self, csv: impl FnOnce() -> String, json: impl FnOnce() -> String) {
+        if let Some(path) = &self.csv {
+            write_artifact(path, &csv());
+        }
+        if let Some(path) = &self.json {
+            write_artifact(path, &json());
+        }
+    }
+}
+
+/// Writes one artifact file, logging the destination (the binaries' shared
+/// write-and-announce convention). A filesystem refusal (missing
+/// permission, read-only mount, bad path) exits with status 2 naming the
+/// path, matching the binaries' malformed-flag convention — results are
+/// the whole point of a sweep, so a silent or cryptic loss is not
+/// acceptable.
+pub fn write_artifact(path: &std::path::Path, contents: &str) {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        if let Err(e) = std::fs::create_dir_all(parent) {
+            eprintln!("cannot create artifact directory {}: {e}", parent.display());
+            std::process::exit(2);
+        }
+    }
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write artifact {}: {e}", path.display());
+        std::process::exit(2);
+    }
+    eprintln!("wrote {}", path.display());
 }
 
 /// The whole shared spine of the `table3`/`table4` binaries: read the
@@ -1332,17 +1007,30 @@ pub fn emit_metric_artifacts(rows: &[MetricRow], paths: &ArtifactPaths) {
 /// their output.
 pub fn model_sweep_main(default_topology: &str) -> (TopologySpec, Vec<ModelRow>) {
     let scale = RunScale::from_env();
-    let spec = topology_override_or(default_topology);
-    let models = ModelSet::from_args_or_paper();
-    let names: Vec<String> = models.specs().iter().map(|s| s.name()).collect();
+    let args = or_exit(Args::from_env(
+        &["--model", "--topology", "--csv", "--json"],
+        0,
+    ));
+    let spec = or_exit(args.topology_or(default_topology));
+    let mut models = or_exit(args.models());
+    if models.is_empty() {
+        models = ModelSpec::paper_presets();
+    }
+    let paths = or_exit(args.artifacts());
+    let names: Vec<String> = models.iter().map(|s| s.name()).collect();
     eprintln!(
         "sweeping {} on {} ({} clusters) x 23 benchmarks ...",
         names.join(", "),
         spec.name(),
         spec.topology().clusters()
     );
-    let rows = model_sweep_set(&models, spec.topology(), scale);
-    emit_model_artifacts(&rows, &artifact_paths_from_args());
+    let cells: Vec<Cell> = models
+        .iter()
+        .map(|m| Cell::from_config(ProcessorConfig::for_model_spec(m, spec.topology())))
+        .collect();
+    let suites = completed(sweep(&cells, scale, executor::default_workers()));
+    let rows = model_rows(&models, &suites);
+    paths.emit(|| format_model_csv(&rows), || format_model_json(&rows));
     (spec, rows)
 }
 
@@ -1373,15 +1061,41 @@ mod tests {
         fields
     }
 
+    /// Parses a flag list against the declared flags.
+    fn args(v: &[&str], flags: &[&str]) -> Result<Args, String> {
+        Args::parse(v.iter().map(|s| s.to_string()), flags, 0)
+    }
+
+    /// Cells for `models` on the 4-cluster crossbar.
+    fn crossbar4_cells(models: &[ModelSpec]) -> Vec<Cell> {
+        models
+            .iter()
+            .map(|m| Cell::from_config(ProcessorConfig::for_model_spec(m, Topology::crossbar4())))
+            .collect()
+    }
+
+    /// Table-3 rows for the paper's Models I–X at `scale`.
+    fn paper_rows(scale: RunScale) -> Vec<ModelRow> {
+        let models = ModelSpec::paper_presets();
+        let suites = sweep(&crossbar4_cells(&models), scale, 4);
+        model_rows(&models, &completed(suites))
+    }
+
+    /// Model I's suite on the 4-cluster crossbar at `scale`.
+    fn model_i_suite(scale: RunScale) -> SuiteResults {
+        let cell = Cell::from_config(ProcessorConfig::for_model(
+            InterconnectModel::I,
+            Topology::crossbar4(),
+        ));
+        completed(sweep(&[cell], scale, executor::default_workers())).remove(0)
+    }
+
     #[test]
     fn csv_has_one_row_per_model_and_consistent_fields() {
-        let rows = model_sweep(
-            Topology::crossbar4(),
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
+        let rows = paper_rows(RunScale {
+            window: 1_000,
+            warmup: 200,
+        });
         let csv = format_model_csv(&rows);
         assert_eq!(csv.lines().count(), 11, "header + 10 models");
         assert!(csv.starts_with("model,"));
@@ -1412,28 +1126,25 @@ mod tests {
 
     #[test]
     fn suite_csv_has_one_row_per_benchmark() {
-        let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let suite = run_suite(
-            &cfg,
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
-        let csv = format_suite_csv(&suite);
+        let suite = model_i_suite(RunScale {
+            window: 1_000,
+            warmup: 200,
+        });
+        let csv = format_suite_csv(&[("base", &suite)]);
         assert_eq!(csv.lines().count(), 24, "header + 23 benchmarks");
         assert!(csv.contains("gzip,"));
         assert!(csv.contains("mcf,"));
+        // Several suites are blank-line-separated blocks.
+        let two = format_suite_csv(&[("a", &suite), ("b", &suite)]);
+        assert_eq!(two, format!("{csv}\n{csv}"));
     }
 
     #[test]
     fn quick_suite_runs() {
-        let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let scale = RunScale {
+        let suite = model_i_suite(RunScale {
             window: 2_000,
             warmup: 500,
-        };
-        let suite = run_suite(&cfg, scale);
+        });
         assert_eq!(suite.runs.len(), 23);
         assert!(suite.mean_ipc() > 0.0);
     }
@@ -1455,13 +1166,10 @@ mod tests {
 
     #[test]
     fn model_json_round_trips() {
-        let rows = model_sweep(
-            Topology::crossbar4(),
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
+        let rows = paper_rows(RunScale {
+            window: 1_000,
+            warmup: 200,
+        });
         let doc = heterowire_telemetry::json::parse(&format_model_json(&rows))
             .expect("model JSON parses");
         let out = doc.get("rows").unwrap().as_arr().unwrap();
@@ -1478,14 +1186,10 @@ mod tests {
 
     #[test]
     fn suite_json_embeds_full_results() {
-        let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let suite = run_suite(
-            &cfg,
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
+        let suite = model_i_suite(RunScale {
+            window: 1_000,
+            warmup: 200,
+        });
         let doc = heterowire_telemetry::json::parse(&format_suite_json(&[("base", &suite)]))
             .expect("suite JSON parses");
         let suites = doc.get("suites").unwrap().as_arr().unwrap();
@@ -1519,73 +1223,104 @@ mod tests {
 
     #[test]
     fn artifact_paths_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(
-            artifact_paths_from(&to_args(&["t"])),
-            Ok(ArtifactPaths::default())
-        );
-        let both =
-            artifact_paths_from(&to_args(&["t", "--csv", "a.csv", "--json", "a.json"])).unwrap();
-        assert_eq!(both.csv, Some(std::path::PathBuf::from("a.csv")));
-        assert_eq!(both.json, Some(std::path::PathBuf::from("a.json")));
-        assert!(artifact_paths_from(&to_args(&["t", "--json"])).is_err());
+        let flags = ["--csv", "--json"];
+        let none = args(&[], &flags).unwrap().artifacts();
+        assert_eq!(none, Ok(ArtifactPaths::default()));
+        let both = args(&["--csv", "a.csv", "--json", "a.json"], &flags)
+            .unwrap()
+            .artifacts()
+            .unwrap();
+        assert_eq!(both.csv, Some(PathBuf::from("a.csv")));
+        assert_eq!(both.json, Some(PathBuf::from("a.json")));
+        assert!(args(&["--json"], &flags).is_err());
+        assert!(args(&["--csv", "a", "--csv", "b"], &flags)
+            .unwrap()
+            .artifacts()
+            .is_err());
     }
 
     #[test]
     fn csv_path_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(csv_path_from(&to_args(&["table3"])), Ok(None));
+        let flags = ["--csv"];
+        assert_eq!(args(&[], &flags).unwrap().path("--csv"), Ok(None));
         assert_eq!(
-            csv_path_from(&to_args(&["table3", "--csv", "out.csv"])),
-            Ok(Some(std::path::PathBuf::from("out.csv")))
+            args(&["--csv", "out.csv"], &flags).unwrap().path("--csv"),
+            Ok(Some(PathBuf::from("out.csv")))
         );
         // `--csv` as the last argument is an error, not a silent None.
-        assert!(csv_path_from(&to_args(&["table3", "--csv"])).is_err());
+        let err = args(&["--csv"], &flags).unwrap_err();
+        assert!(err.contains("--csv requires a value"), "{err}");
+    }
+
+    #[test]
+    fn args_refuse_undeclared_tokens() {
+        let flags = ["--model", "--csv"];
+        // A typo names itself and the flags the binary does take.
+        let err = args(&["--modle", "X"], &flags).unwrap_err();
+        assert!(err.contains("\"--modle\""), "{err}");
+        assert!(err.contains("--model, --csv"), "{err}");
+        let err = args(&["X"], &flags).unwrap_err();
+        assert!(err.contains("unexpected argument \"X\""), "{err}");
+        // Declared bare tokens are kept in order, flags around them.
+        let two = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string()), &flags, 1);
+        let got = two(&["--model", "X", "opts", "--csv", "o.csv"]).unwrap();
+        assert_eq!(got.positional(), Some("opts"));
+        assert_eq!(got.value("--csv"), Ok(Some("o.csv")));
+        assert!(two(&["opts", "ext"]).is_err());
+        // A declared flag's value is taken as given, even when it looks
+        // like a flag.
+        assert_eq!(
+            args(&["--csv", "--model"], &flags).unwrap().value("--csv"),
+            Ok(Some("--model"))
+        );
     }
 
     #[test]
     fn model_set_from_args() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(ModelSet::from_args(&to_args(&["table3"]))
-            .unwrap()
-            .is_none());
-        let set = ModelSet::from_args(&to_args(&[
-            "table3",
-            "--model",
-            "X",
-            "--model",
-            "custom:b144+pw288+l36",
-        ]))
+        let flags = ["--model"];
+        assert!(args(&[], &flags).unwrap().models().unwrap().is_empty());
+        let set = args(
+            &["--model", "X", "--model", "custom:b144+pw288+l36"],
+            &flags,
+        )
         .unwrap()
-        .expect("two models");
+        .models()
+        .unwrap();
         assert_eq!(set.len(), 2);
-        assert_eq!(set.specs()[0].name(), "X");
-        assert_eq!(set.specs()[1].name(), "custom:b144+pw288+l36");
+        assert_eq!(set[0].name(), "X");
+        assert_eq!(set[1].name(), "custom:b144+pw288+l36");
         // Both tokens name the same link.
-        assert_eq!(set.specs()[0].link(), set.specs()[1].link());
+        assert_eq!(set[0].link(), set[1].link());
         // Malformed flags are errors, not silent defaults.
-        assert!(ModelSet::from_args(&to_args(&["t", "--model"])).is_err());
-        assert!(ModelSet::from_args(&to_args(&["t", "--model", "XI"])).is_err());
-        assert!(ModelSet::from_args(&to_args(&["t", "--model", "custom:l36"])).is_err());
+        assert!(args(&["--model"], &flags).is_err());
+        let models = |v: &[&str]| args(v, &flags).unwrap().models();
+        assert!(models(&["--model", "XI"]).is_err());
+        assert!(models(&["--model", "custom:l36"]).is_err());
+        // Single-model binaries default, or take exactly one.
+        let one = |v: &[&str]| args(v, &flags).unwrap().model_or("VII");
+        assert_eq!(one(&[]).unwrap().name(), "VII");
+        assert_eq!(one(&["--model", "X"]).unwrap().name(), "X");
+        assert!(one(&["--model", "X", "--model", "I"])
+            .unwrap_err()
+            .contains("at most one --model"));
     }
 
     #[test]
     fn custom_spec_sweep_matches_preset() {
         // `custom:b144` is the same machine as Model I; a two-model sweep
         // of the pair must produce identical runs.
-        let set = ModelSet::new(vec![
+        let models = [
             ModelSpec::parse("I").unwrap(),
             ModelSpec::parse("custom:b144").unwrap(),
-        ])
-        .unwrap();
+        ];
         let scale = RunScale {
             window: 800,
             warmup: 200,
         };
-        let suites = sweep_runs_set(&set, Topology::crossbar4(), scale, 4);
+        let suites = completed(sweep(&crossbar4_cells(&models), scale, 4));
         assert_eq!(suites.len(), 2);
         assert_eq!(suites[0].runs, suites[1].runs, "bit-identical results");
-        let rows = rows_from_runs_set(&set, &suites);
+        let rows = model_rows(&models, &suites);
         assert_eq!(rows[0].at_10.ipc, rows[1].at_10.ipc);
         assert_eq!(rows[1].model.name(), "custom:b144");
     }
@@ -1608,16 +1343,11 @@ mod tests {
 
     #[test]
     fn topology_from_args_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(topology_from_args(&to_args(&["policy_ab"]))
-            .unwrap()
-            .is_none());
+        let flags = ["--topology"];
+        let topology = |v: &[&str]| args(v, &flags).unwrap().topology_or("crossbar4");
+        assert_eq!(topology(&[]).unwrap().name(), "crossbar4");
         // Presets and their equivalent compact specs resolve identically.
-        let resolve = |token: &str| {
-            topology_from_args(&to_args(&["t", "--topology", token]))
-                .unwrap()
-                .expect("flag present")
-        };
+        let resolve = |token: &str| topology(&["--topology", token]).unwrap();
         assert_eq!(resolve("hier16").topology(), Topology::hier16());
         assert_eq!(resolve("crossbar4").topology(), Topology::crossbar4());
         assert_eq!(resolve("ring:4x4").topology(), Topology::hier16());
@@ -1626,53 +1356,34 @@ mod tests {
         assert_eq!(resolve("hier16").name(), "hier16");
         assert_eq!(resolve("ring:4x4").name(), "ring:4x4");
         // Malformed tokens fail loudly with the shared parser's message.
-        assert!(topology_from_args(&to_args(&["t", "--topology", "mesh"]))
+        assert!(topology(&["--topology", "mesh"])
             .unwrap_err()
             .contains("unknown topology"));
-        assert!(
-            topology_from_args(&to_args(&["t", "--topology", "ring:2x4"]))
-                .unwrap_err()
-                .contains("quads")
-        );
-        assert!(topology_from_args(&to_args(&["t", "--topology"])).is_err());
-        assert!(topology_from_args(&to_args(&[
-            "t",
-            "--topology",
-            "hier16",
-            "--topology",
-            "hier16"
-        ]))
-        .is_err());
+        assert!(topology(&["--topology", "ring:2x4"])
+            .unwrap_err()
+            .contains("quads"));
+        assert!(args(&["--topology"], &flags).is_err());
+        assert!(topology(&["--topology", "hier16", "--topology", "hier16"]).is_err());
     }
 
     #[test]
     fn topology_set_collects_repeated_flags() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(TopologySet::from_args(&to_args(&["t"])).unwrap().is_none());
-        let set = TopologySet::from_args(&to_args(&[
-            "t",
-            "--topology",
-            "crossbar4",
-            "--topology",
-            "ring:6x2",
-        ]))
-        .unwrap()
-        .expect("two topologies");
+        let flags = ["--topology"];
+        let topologies = |v: &[&str]| args(v, &flags).unwrap().topologies();
+        assert!(topologies(&[]).unwrap().is_empty());
+        let set = topologies(&["--topology", "crossbar4", "--topology", "ring:6x2"])
+            .expect("two topologies");
         assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
-        assert_eq!(set.specs()[0].name(), "crossbar4");
-        assert_eq!(set.specs()[1].name(), "ring:6x2");
-        assert_eq!(set.specs()[1].topology().clusters(), 12);
-        assert!(TopologySet::new(Vec::new()).is_err());
+        assert_eq!(set[0].name(), "crossbar4");
+        assert_eq!(set[1].name(), "ring:6x2");
+        assert_eq!(set[1].topology().clusters(), 12);
         // Shapes past the processor's old inline capacity now parse (the
         // per-value structures spill); the simulator-wide cap still
         // refuses at parse time, not by a panic mid-sweep, with the
         // shared checker's message (cap + offending count).
-        let wide = TopologySet::from_args(&to_args(&["t", "--topology", "ring:6x4"]))
-            .unwrap()
-            .expect("one topology");
-        assert_eq!(wide.specs()[0].topology().clusters(), 24);
-        let err = TopologySet::from_args(&to_args(&["t", "--topology", "xbar:65"])).unwrap_err();
+        let wide = topologies(&["--topology", "ring:6x4"]).unwrap();
+        assert_eq!(wide[0].topology().clusters(), 24);
+        let err = topologies(&["--topology", "xbar:65"]).unwrap_err();
         assert!(err.contains("65 clusters"), "{err}");
         assert!(err.contains("at most 64"), "{err}");
     }
@@ -1701,23 +1412,18 @@ mod tests {
 
     #[test]
     fn policies_from_args_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(policies_from_args(&to_args(&["policy_ab"]))
-            .unwrap()
-            .is_none());
-        let got = policies_from_args(&to_args(&["t", "--policy", "paper,oracle"]))
-            .unwrap()
-            .expect("two policies");
+        let flags = ["--policy"];
+        let policies = |v: &[&str]| args(v, &flags).unwrap().policies();
+        assert!(policies(&[]).unwrap().is_empty());
+        let got = policies(&["--policy", "paper,oracle"]).expect("two policies");
         assert_eq!(got, vec![PolicyKind::Paper, PolicyKind::Oracle]);
         // Repeated flags accumulate.
-        let got = policies_from_args(&to_args(&["t", "--policy", "spray", "--policy", "pwfirst"]))
-            .unwrap()
-            .unwrap();
+        let got = policies(&["--policy", "spray", "--policy", "pwfirst"]).unwrap();
         assert_eq!(got, vec![PolicyKind::Spray, PolicyKind::PwFirst]);
         // Malformed forms are errors, not silent defaults.
-        assert!(policies_from_args(&to_args(&["t", "--policy"])).is_err());
-        assert!(policies_from_args(&to_args(&["t", "--policy", "greedy"])).is_err());
-        assert!(policies_from_args(&to_args(&["t", "--policy", "paper,paper"])).is_err());
+        assert!(args(&["--policy"], &flags).is_err());
+        assert!(policies(&["--policy", "greedy"]).is_err());
+        assert!(policies(&["--policy", "paper,paper"]).is_err());
     }
 
     #[test]
@@ -1738,28 +1444,44 @@ mod tests {
         );
         let err = PolicyKind::PwFirst.check_supported(&b_only).unwrap_err();
         assert!(err.contains("pwfirst") && err.contains("PW-Wires"), "{err}");
+        // A cell refuses the same pairing with the same message.
+        let topology = Topology::crossbar4();
+        let err = Cell::new(&b_only, topology, PolicyKind::PwFirst, None).unwrap_err();
+        assert!(err.contains("pwfirst") && err.contains("PW-Wires"), "{err}");
+        // Support is judged on the nominal model: retiring both of Model
+        // X's L lanes does not refuse criticality steering.
+        let no_l = FaultSpec::parse("lane:L0@stuck+lane:L1@stuck").unwrap();
+        let cell = Cell::new(&x, topology, PolicyKind::Criticality, Some(&no_l))
+            .expect("X has an L plane before its lanes are retired");
+        assert_eq!(cell.config().link.lanes(WireClass::L), 0);
     }
 
     #[test]
     fn policy_race_rows_cover_the_grid() {
-        let models = ModelSet::new(vec![ModelSpec::parse("X").unwrap()]).unwrap();
+        let model = ModelSpec::parse("X").unwrap();
         let policies = [PolicyKind::Paper, PolicyKind::Oracle];
         let scale = RunScale {
             window: 800,
             warmup: 200,
         };
-        let suites = policy_sweep_runs(&models, &policies, Topology::crossbar4(), scale, 4);
-        assert_eq!(suites.len(), 1);
-        assert_eq!(suites[0].len(), 2);
-        assert_eq!(suites[0][0].runs.len(), 23);
-        // The paper lane is the exact default path.
-        let direct = run_suite_on(
-            &ProcessorConfig::for_model_spec(&models.specs()[0], Topology::crossbar4()),
-            scale,
-            4,
-        );
-        assert_eq!(suites[0][0].runs, direct.runs, "bit-identical paper row");
-        let rows = policy_metric_rows(&models.specs()[0], &policies, &suites[0]);
+        let cells: Vec<Cell> = policies
+            .iter()
+            .map(|&pk| Cell::new(&model, Topology::crossbar4(), pk, None).unwrap())
+            .collect();
+        let suites = completed(sweep(&cells, scale, 4));
+        assert_eq!(suites.len(), 2);
+        assert_eq!(suites[0].runs.len(), 23);
+        // The paper lane is the exact default-processor path.
+        let config = ProcessorConfig::for_model_spec(&model, Topology::crossbar4());
+        let direct: Vec<SimResults> = spec2000()
+            .into_iter()
+            .map(|p| {
+                Processor::new(config.clone(), TraceGenerator::new(p, SEED))
+                    .run(scale.window, scale.warmup)
+            })
+            .collect();
+        assert_eq!(suites[0].runs, direct, "bit-identical paper row");
+        let rows = policy_metric_rows(&model, &policies, &suites);
         assert_eq!(rows.len(), 2 * 7, "7 metrics per policy");
         assert!(rows
             .iter()
@@ -1780,19 +1502,19 @@ mod tests {
             .find(|r| r.label == "paper" && r.metric == "ed2_10_pct")
             .unwrap();
         assert!((base_ed2.value - 100.0).abs() < 1e-9);
-        let table = format_policy_table(&models.specs()[0], &policies, &suites[0]);
+        let table = format_policy_table(&model, &policies, &suites);
         assert!(table.contains("paper") && table.contains("oracle"));
     }
 
     #[test]
     fn suite_executor_matches_serial() {
-        let cfg = ProcessorConfig::for_model(InterconnectModel::IV, Topology::crossbar4());
+        let cells = crossbar4_cells(&[InterconnectModel::IV.spec()]);
         let scale = RunScale {
             window: 800,
             warmup: 200,
         };
-        let serial = run_suite_on(&cfg, scale, 1);
-        let parallel = run_suite_on(&cfg, scale, 4);
+        let serial = completed(sweep(&cells, scale, 1)).remove(0);
+        let parallel = completed(sweep(&cells, scale, 4)).remove(0);
         assert_eq!(serial.names, parallel.names);
         assert_eq!(serial.runs, parallel.runs, "bit-identical results");
     }

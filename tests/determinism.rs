@@ -1,7 +1,7 @@
 //! Determinism and reproducibility: identical inputs must give identical
 //! simulations, and different inputs must actually differ.
 
-use heterowire_bench::{sweep_runs, sweep_runs_serial, RunScale};
+use heterowire_bench::{completed, sweep, Cell, RunScale};
 use heterowire_core::{InterconnectModel, Processor, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::{by_name, spec2000, TraceGenerator};
@@ -61,14 +61,19 @@ fn window_extension_is_prefix_stable() {
 fn parallel_sweep_is_bit_identical_to_serial() {
     // The flattened work-queue executor must change wall-clock only: every
     // per-benchmark SimResults (a plain Copy/PartialEq struct) must equal
-    // the serial reference bit for bit. Workers forced above 1 so the
-    // queue is genuinely drained concurrently even on single-core hosts.
+    // the one-worker sweep, which runs every job inline in order, bit for
+    // bit. Workers forced above 1 so the queue is genuinely drained
+    // concurrently even on single-core hosts.
     let scale = RunScale {
         window: 1_500,
         warmup: 300,
     };
-    let serial = sweep_runs_serial(Topology::crossbar4(), scale);
-    let parallel = sweep_runs(Topology::crossbar4(), scale, 4);
+    let cells: Vec<Cell> = InterconnectModel::ALL
+        .iter()
+        .map(|&m| Cell::from_config(ProcessorConfig::for_model(m, Topology::crossbar4())))
+        .collect();
+    let serial = completed(sweep(&cells, scale, 1));
+    let parallel = completed(sweep(&cells, scale, 4));
     assert_eq!(serial.len(), parallel.len());
     for (model, (s, p)) in InterconnectModel::ALL
         .iter()

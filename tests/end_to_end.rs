@@ -2,12 +2,12 @@
 //! front-end → clusters → heterogeneous network → LSQ/caches → energy
 //! model) on real configurations.
 
-use heterowire_bench::{run_one, RunScale, SEED};
+use heterowire_bench::{Cell, RunScale, SEED};
 use heterowire_core::{
-    relative_report, EnergyParams, InterconnectModel, Processor, ProcessorConfig,
+    relative_report, EnergyParams, InterconnectModel, Processor, ProcessorConfig, SimResults,
 };
 use heterowire_interconnect::Topology;
-use heterowire_trace::{by_name, spec2000, TraceGenerator};
+use heterowire_trace::{by_name, spec2000, BenchmarkProfile, TraceGenerator};
 use heterowire_wires::WireClass;
 
 const SCALE: RunScale = RunScale {
@@ -15,11 +15,18 @@ const SCALE: RunScale = RunScale {
     warmup: 3_000,
 };
 
+/// One benchmark under `cfg`, through the harness's run path.
+fn run(cfg: ProcessorConfig, profile: BenchmarkProfile, scale: RunScale) -> SimResults {
+    Cell::from_config(cfg)
+        .run(profile, scale)
+        .expect("the run completes")
+}
+
 #[test]
 fn every_benchmark_runs_on_the_baseline() {
     for p in spec2000() {
         let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let r = run_one(
+        let r = run(
             cfg,
             p,
             RunScale {
@@ -39,7 +46,7 @@ fn every_model_runs_on_both_topologies() {
     for topology in [Topology::crossbar4(), Topology::hier16()] {
         for model in InterconnectModel::ALL {
             let cfg = ProcessorConfig::for_model(model, topology);
-            let r = run_one(
+            let r = run(
                 cfg,
                 p,
                 RunScale {
@@ -59,7 +66,7 @@ fn heterogeneous_traffic_goes_where_the_policy_says() {
     // L-wires carry only small messages, PW carries the store/ready
     // traffic, B the rest.
     let cfg = ProcessorConfig::for_model(InterconnectModel::X, Topology::crossbar4());
-    let r = run_one(cfg, by_name("gcc").expect("gcc"), SCALE);
+    let r = run(cfg, by_name("gcc").expect("gcc"), SCALE);
     let l_share = r.net.class_share(WireClass::L);
     let pw_share = r.net.class_share(WireClass::Pw);
     let b_share = r.net.class_share(WireClass::B);
@@ -74,12 +81,12 @@ fn energy_model_tracks_wire_choices() {
     // Model II (PW only) must burn less interconnect dynamic energy than
     // Model I on the same workload, at roughly the Table-2 ratio.
     let p = by_name("twolf").expect("twolf");
-    let base = run_one(
+    let base = run(
         ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4()),
         p,
         SCALE,
     );
-    let pw = run_one(
+    let pw = run(
         ProcessorConfig::for_model(InterconnectModel::II, Topology::crossbar4()),
         p,
         SCALE,
@@ -113,12 +120,12 @@ fn deadlock_free_across_seeds() {
 fn sixteen_clusters_deliver_more_ilp_on_fp() {
     // §5.3: moving from 4 to 16 clusters helps high-ILP programs.
     let p = by_name("swim").expect("swim");
-    let c4 = run_one(
+    let c4 = run(
         ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4()),
         p,
         SCALE,
     );
-    let c16 = run_one(
+    let c16 = run(
         ProcessorConfig::for_model(InterconnectModel::I, Topology::hier16()),
         p,
         SCALE,
@@ -135,7 +142,7 @@ fn sixteen_clusters_deliver_more_ilp_on_fp() {
 fn warmup_is_excluded_from_measurements() {
     let p = by_name("gzip").expect("gzip");
     let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let with_warmup = run_one(
+    let with_warmup = run(
         cfg.clone(),
         p,
         RunScale {
@@ -143,7 +150,7 @@ fn warmup_is_excluded_from_measurements() {
             warmup: 5_000,
         },
     );
-    let without = run_one(
+    let without = run(
         cfg,
         p,
         RunScale {

@@ -2,8 +2,8 @@
 //! compaction, L2 critical-word-first, transmission-line L-Wires) running
 //! in the full pipeline.
 
-use heterowire_bench::{run_one, RunScale};
-use heterowire_core::{Extensions, InterconnectModel, ProcessorConfig};
+use heterowire_bench::{Cell, RunScale};
+use heterowire_core::{Extensions, InterconnectModel, ProcessorConfig, SimResults};
 use heterowire_interconnect::Topology;
 use heterowire_trace::by_name;
 use heterowire_wires::WireClass;
@@ -13,11 +13,18 @@ const SCALE: RunScale = RunScale {
     warmup: 3_000,
 };
 
-fn run_with(ext: Extensions, latency_scale: f64, bench: &str) -> heterowire_core::SimResults {
+/// One benchmark under `cfg`, through the harness's run path.
+fn run(cfg: ProcessorConfig, bench: &str) -> SimResults {
+    Cell::from_config(cfg)
+        .run(by_name(bench).expect("benchmark"), SCALE)
+        .expect("the run completes")
+}
+
+fn run_with(ext: Extensions, latency_scale: f64, bench: &str) -> SimResults {
     let mut cfg = ProcessorConfig::for_model(InterconnectModel::VII, Topology::crossbar4());
     cfg.extensions = ext;
     cfg.latency_scale = latency_scale;
-    run_one(cfg, by_name(bench).expect("benchmark"), SCALE)
+    run(cfg, bench)
 }
 
 #[test]
@@ -69,8 +76,8 @@ fn critical_word_first_requires_l_wires() {
     let mut with = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
     with.extensions.l2_critical_word = true;
     let without = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let a = run_one(with, by_name("mcf").expect("mcf"), SCALE);
-    let b = run_one(without, by_name("mcf").expect("mcf"), SCALE);
+    let a = run(with, "mcf");
+    let b = run(without, "mcf");
     assert_eq!(
         a.cycles, b.cycles,
         "CWF without L-Wires must change nothing"

@@ -14,7 +14,7 @@
 //!   through `try_run` and mirrors it through the telemetry probe;
 //! * the `fault_sweep` binary exits 2 on malformed fault grammar.
 
-use heterowire_bench::{degraded_config, run_one_policy_faults, PolicyKind, RunScale, SEED};
+use heterowire_bench::{Cell, PolicyKind, RunScale, SEED};
 use heterowire_core::{
     FaultSpec, InterconnectModel, ModelSpec, NullProbe, PaperPolicy, Probe, Processor,
     ProcessorConfig, SimResults, StallReport,
@@ -209,23 +209,16 @@ fn stuck_lanes_retire_capacity_and_policies_steer_around_them() {
     // Retiring both L lanes removes the L plane: the run still completes,
     // with every would-be L transfer carried by the surviving planes.
     let spec = FaultSpec::parse("lane:L0@stuck+lane:L1@stuck").expect("valid spec");
-    let degraded =
-        degraded_config(&model, topology, Some(&spec)).expect("a B+PW link is still legal");
-    assert_eq!(degraded.link.lanes(WireClass::L), 0);
-    assert_eq!(degraded.link.lanes(WireClass::B), 2);
-    let healthy = degraded_config(&model, topology, None).expect("baseline");
+    let degraded = Cell::new(&model, topology, PolicyKind::Paper, Some(&spec))
+        .expect("a B+PW link is still legal");
+    assert_eq!(degraded.config().link.lanes(WireClass::L), 0);
+    assert_eq!(degraded.config().link.lanes(WireClass::B), 2);
+    let healthy = Cell::new(&model, topology, PolicyKind::Paper, None).expect("baseline");
     let profile = by_name("gzip").expect("benchmark");
-    let degraded_run = run_one_policy_faults(
-        Arc::new(degraded),
-        profile,
-        scale,
-        PolicyKind::Paper,
-        Some(&spec),
-    )
-    .expect("a degraded link must still make progress");
-    let healthy_run =
-        run_one_policy_faults(Arc::new(healthy), profile, scale, PolicyKind::Paper, None)
-            .expect("baseline run");
+    let degraded_run = degraded
+        .run(profile, scale)
+        .expect("a degraded link must still make progress");
+    let healthy_run = healthy.run(profile, scale).expect("baseline run");
     let l = WireClass::L as usize;
     assert_eq!(
         degraded_run.net.transfers[l], 0,
@@ -241,7 +234,7 @@ fn stuck_lanes_retire_capacity_and_policies_steer_around_them() {
     // plane: refused up front, not deadlocked at runtime.
     let model_i = ModelSpec::parse("I").expect("model I");
     let fatal = FaultSpec::parse("lane:B0@stuck+lane:B1@stuck").expect("valid spec");
-    let err = degraded_config(&model_i, topology, Some(&fatal))
+    let err = Cell::new(&model_i, topology, PolicyKind::Paper, Some(&fatal))
         .expect_err("a link with no full-width plane must be refused");
     assert!(
         err.contains("full-width") || err.contains("no legal plane"),

@@ -1,17 +1,25 @@
 //! Integration tests over the Table-3/4 sweep machinery: the energy model,
-//! normalisation, and the orderings that define the paper's conclusions.
+//! normalisation, and the orderings that define the paper's conclusions;
+//! plus the sweep binaries' refusal of undeclared flags and study names.
 
-use heterowire_bench::{model_sweep, RunScale};
-use heterowire_core::InterconnectModel;
+use heterowire_bench::{completed, executor, model_rows, sweep, Cell, ModelRow, RunScale};
+use heterowire_core::{InterconnectModel, ModelSpec, ProcessorConfig};
 use heterowire_interconnect::Topology;
+use std::process::Command;
 
-fn quick_rows() -> Vec<heterowire_bench::ModelRow> {
-    model_sweep(
-        Topology::crossbar4(),
-        RunScale {
-            window: 6_000,
-            warmup: 2_000,
-        },
+fn quick_rows() -> Vec<ModelRow> {
+    let models = ModelSpec::paper_presets();
+    let cells: Vec<Cell> = models
+        .iter()
+        .map(|m| Cell::from_config(ProcessorConfig::for_model_spec(m, Topology::crossbar4())))
+        .collect();
+    let scale = RunScale {
+        window: 6_000,
+        warmup: 2_000,
+    };
+    model_rows(
+        &models,
+        &completed(sweep(&cells, scale, executor::default_workers())),
     )
 }
 
@@ -117,4 +125,49 @@ fn metal_area_column_matches_the_paper() {
         areas,
         vec![1.0, 1.0, 1.5, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]
     );
+}
+
+/// Runs a harness binary at quick scale (so a regression that ignores
+/// the bad token sweeps for seconds, not minutes) and returns its exit
+/// code and stderr.
+fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .env("HETEROWIRE_SCALE", "quick")
+        .output()
+        .expect("spawn harness binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn table3_refuses_undeclared_flags_with_exit_2() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["--modle", "X"], "--modle"),
+        (&["--model", "X", "extra"], "extra"),
+    ];
+    for (args, token) in cases {
+        let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_table3"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{token:?}")),
+            "{args:?}: {token} is not named: {stderr}"
+        );
+        assert!(!stderr.contains("sweeping"), "{args:?} started a sweep");
+    }
+}
+
+#[test]
+fn ablation_refuses_unknown_studies_with_exit_2() {
+    let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_ablation"), &["lsbits"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("\"lsbits\""), "token not named: {stderr}");
+    for study in ["ls-bits", "balance", "narrow", "opts", "ext"] {
+        assert!(stderr.contains(study), "{study} not listed: {stderr}");
+    }
+    let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_ablation"), &["--lsbits"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("\"--lsbits\""), "token not named: {stderr}");
 }

@@ -3,20 +3,33 @@
 //! statistics the paper quotes). Magnitudes are asserted loosely; see
 //! EXPERIMENTS.md for measured-vs-paper values.
 
-use heterowire_bench::{run_one, run_suite, RunScale};
-use heterowire_core::{InterconnectModel, ProcessorConfig};
+use heterowire_bench::{completed, executor, sweep, Cell, RunScale, SuiteResults};
+use heterowire_core::{InterconnectModel, ProcessorConfig, SimResults};
 use heterowire_interconnect::Topology;
-use heterowire_trace::{by_name, spec2000, TraceGenerator, TraceStats};
+use heterowire_trace::{by_name, spec2000, BenchmarkProfile, TraceGenerator, TraceStats};
 
 const SCALE: RunScale = RunScale {
     window: 12_000,
     warmup: 4_000,
 };
 
+/// One benchmark under `cfg`, through the harness's run path.
+fn run(cfg: ProcessorConfig, profile: BenchmarkProfile, scale: RunScale) -> SimResults {
+    Cell::from_config(cfg)
+        .run(profile, scale)
+        .expect("the run completes")
+}
+
+/// The 23-benchmark suite under `cfg`.
+fn suite_of(cfg: ProcessorConfig, scale: RunScale) -> SuiteResults {
+    let cells = [Cell::from_config(cfg)];
+    completed(sweep(&cells, scale, executor::default_workers())).remove(0)
+}
+
 fn suite_mean(model: InterconnectModel, topology: Topology, latency_scale: f64) -> f64 {
     let mut cfg = ProcessorConfig::for_model(model, topology);
     cfg.latency_scale = latency_scale;
-    run_suite(&cfg, SCALE).mean_ipc()
+    suite_of(cfg, SCALE).mean_ipc()
 }
 
 #[test]
@@ -62,12 +75,12 @@ fn sixteen_clusters_improve_single_thread_ipc() {
 fn pw_only_interconnect_degrades_ipc_but_saves_energy() {
     // Table 3, Model II vs Model I: slower but much cheaper dynamically.
     let p = by_name("crafty").expect("crafty");
-    let base = run_one(
+    let base = run(
         ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4()),
         p,
         SCALE,
     );
-    let pw = run_one(
+    let pw = run(
         ProcessorConfig::for_model(InterconnectModel::II, Topology::crossbar4()),
         p,
         SCALE,
@@ -81,7 +94,7 @@ fn false_dependence_rate_stays_under_paper_bound() {
     // §4: "false dependences were encountered for fewer than 9% of all
     // loads when employing eight LS bits".
     let cfg = ProcessorConfig::for_model(InterconnectModel::VII, Topology::crossbar4());
-    let suite = run_suite(&cfg, SCALE);
+    let suite = suite_of(cfg, SCALE);
     let (fd, loads) = suite.runs.iter().fold((0u64, 0u64), |(f, l), r| {
         (f + r.lsq.false_dependences, l + r.lsq.loads)
     });
@@ -95,8 +108,8 @@ fn narrow_predictor_matches_paper_quality() {
     // §4: 8K 2-bit counters identify ~95% of narrow results with ~2% of
     // predicted-narrow values actually wide.
     let cfg = ProcessorConfig::for_model(InterconnectModel::VII, Topology::crossbar4());
-    let suite = run_suite(
-        &cfg,
+    let suite = suite_of(
+        cfg,
         RunScale {
             window: 30_000,
             warmup: 10_000,
@@ -142,7 +155,7 @@ fn memory_fraction_justifies_double_width_cache_links() {
 fn mcf_is_the_slowest_program() {
     // Figure 3's most prominent feature: mcf's memory-bound IPC floor.
     let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let suite = run_suite(&cfg, SCALE);
+    let suite = suite_of(cfg, SCALE);
     let mcf_idx = suite.names.iter().position(|n| *n == "mcf").expect("mcf");
     let mcf_ipc = suite.runs[mcf_idx].ipc();
     for (i, r) in suite.runs.iter().enumerate() {

@@ -142,3 +142,24 @@ fn utilization_csv_reconciles_with_netstats() {
     assert!(total > 0, "the run produced link activity");
     assert_eq!(probe.dropped_samples, 0, "no rows dropped at this scale");
 }
+
+/// A `--window` that is not a positive cycle count is refused up front
+/// with exit 2 naming the value, not a parse or probe-assertion panic.
+#[test]
+fn malformed_window_exits_2_naming_the_value() {
+    for bad in ["abc", "0", "-3"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_telemetry"))
+            .args(["--window", bad, "--out-dir"])
+            .arg(std::env::temp_dir().join("hw-telemetry-never-written"))
+            .env("HETEROWIRE_SCALE", "quick")
+            .output()
+            .expect("spawn telemetry");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--window {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--window {bad:?}")),
+            "--window {bad}: value not named: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--window {bad}: {stderr}");
+    }
+}
