@@ -5,7 +5,7 @@
 //! to redirect it). This is the reproducible before/after number behind
 //! EXPERIMENTS.md's executor section.
 
-use heterowire_bench::timing::{git_revision, time_once, BenchReport, Measurement};
+use heterowire_bench::timing::{git_dirty, git_revision, time_once, BenchReport, Measurement};
 use heterowire_bench::{completed, executor, or_exit, sweep, Args, Cell, RunScale};
 use heterowire_core::{ModelSpec, ProcessorConfig};
 
@@ -110,6 +110,7 @@ fn main() {
         label,
         host_threads: workers as u64,
         git_rev: git_revision(),
+        git_dirty: git_dirty(),
         measurements: vec![
             Measurement {
                 name: "serial".to_string(),

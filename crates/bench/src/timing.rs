@@ -65,7 +65,7 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Version of the `bench.json` schema written by [`BenchReport::to_json`]
 /// and required by [`validate_bench_json`].
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// One named wall-clock measurement inside a [`BenchReport`].
 #[derive(Debug, Clone)]
@@ -89,6 +89,9 @@ pub struct BenchReport {
     pub host_threads: u64,
     /// Git revision the binary was run from (`unknown` outside a repo).
     pub git_rev: String,
+    /// Whether tracked files differed from `git_rev` when the report was
+    /// taken, so the measured tree was not that revision.
+    pub git_dirty: bool,
     /// The timed configurations.
     pub measurements: Vec<Measurement>,
 }
@@ -108,6 +111,8 @@ impl BenchReport {
             .u64(self.host_threads)
             .key("git_rev")
             .string(&self.git_rev)
+            .key("git_dirty")
+            .bool(self.git_dirty)
             .key("measurements")
             .begin_array();
         for m in &self.measurements {
@@ -138,6 +143,17 @@ impl BenchReport {
     }
 }
 
+/// Stdout of `git <args>` run in the working directory, or `None` when git
+/// is missing or fails.
+fn git(args: &[&str]) -> Option<Vec<u8>> {
+    std::process::Command::new("git")
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| o.stdout)
+}
+
 /// The git revision of the working tree: `GITHUB_SHA` when CI provides it,
 /// otherwise `git rev-parse HEAD`, otherwise `unknown`.
 pub fn git_revision() -> String {
@@ -146,19 +162,23 @@ pub fn git_revision() -> String {
             return sha;
         }
     }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+    git(&["rev-parse", "HEAD"])
+        .and_then(|out| String::from_utf8(out).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Whether the working tree's tracked files differ from `HEAD` (`git
+/// status --porcelain --untracked-files=no` prints anything). A tree git
+/// cannot answer for counts as dirty.
+pub fn git_dirty() -> bool {
+    git(&["status", "--porcelain", "--untracked-files=no"]).is_none_or(|out| !out.is_empty())
+}
+
 /// Schema-checks a `bench.json` document: current schema version, string
-/// identity fields, a positive thread count, and a non-empty measurement
+/// identity fields, a boolean dirty flag, a positive thread count, and a
+/// non-empty measurement
 /// array of named finite non-negative timings. This is the CI perf gate's
 /// failure condition — timing *values* are never judged here.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
@@ -175,6 +195,9 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
         if v.as_str().is_none_or(str::is_empty) {
             return Err(format!("{k} must be a non-empty string"));
         }
+    }
+    if field("git_dirty")?.as_bool().is_none() {
+        return Err("git_dirty must be true or false".to_string());
     }
     let threads = field("host_threads")?
         .as_num()
@@ -235,6 +258,7 @@ mod tests {
             label: "test \"quoted\"".to_string(),
             host_threads: 4,
             git_rev: "deadbeef".to_string(),
+            git_dirty: true,
             measurements: vec![
                 Measurement {
                     name: "serial".to_string(),
@@ -256,6 +280,7 @@ mod tests {
         assert_eq!(doc.get("suite").unwrap().as_str(), Some("sweep_timing"));
         assert_eq!(doc.get("label").unwrap().as_str(), Some("test \"quoted\""));
         assert_eq!(doc.get("host_threads").unwrap().as_num(), Some(4.0));
+        assert_eq!(doc.get("git_dirty").unwrap().as_bool(), Some(true));
         let ms = doc.get("measurements").unwrap().as_arr().unwrap();
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0].get("name").unwrap().as_str(), Some("serial"));
@@ -279,10 +304,38 @@ mod tests {
         assert!(validate_bench_json(&r.to_json()).is_err());
         let wrong_schema = report()
             .to_json()
-            .replacen("\"schema\":1", "\"schema\":9", 1);
+            .replacen("\"schema\":2", "\"schema\":9", 1);
         assert!(validate_bench_json(&wrong_schema)
             .unwrap_err()
             .contains("unsupported schema"));
+        // Schema 1 predates the dirty flag.
+        let v1 = report()
+            .to_json()
+            .replacen("\"schema\":2", "\"schema\":1", 1);
+        assert!(validate_bench_json(&v1)
+            .unwrap_err()
+            .contains("unsupported schema"));
+    }
+
+    #[test]
+    fn validate_requires_a_boolean_dirty_flag() {
+        let json = report().to_json();
+        let missing = json.replacen("\"git_dirty\":true,", "", 1);
+        assert_ne!(missing, json);
+        assert!(validate_bench_json(&missing)
+            .unwrap_err()
+            .contains("git_dirty"));
+        for bad in ["\"true\"", "1", "null"] {
+            let wrong = json.replacen("\"git_dirty\":true", &format!("\"git_dirty\":{bad}"), 1);
+            assert!(
+                validate_bench_json(&wrong)
+                    .unwrap_err()
+                    .contains("git_dirty must be true or false"),
+                "{bad}"
+            );
+        }
+        let clean = json.replacen("\"git_dirty\":true", "\"git_dirty\":false", 1);
+        validate_bench_json(&clean).expect("a clean tree validates");
     }
 
     #[test]

@@ -60,4 +60,4 @@ pub use processor::{
     TransferPolicy, MAX_CLUSTERS,
 };
 pub use results::{mean_ipc, SimResults};
-pub use steer::{ClusterView, ProducerInfo, Steering, SteeringWeights};
+pub use steer::{Demand, ProducerInfo, Steering, SteeringWeights};

@@ -46,10 +46,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             let critical = !ready_at_dispatch && v.critical_subs.contains(cluster);
             (v.cluster, v.narrow, v.value, v.pc, critical)
         };
-        let dest_iq_used = {
-            let c = &self.clusters[cluster];
-            c.iq_int_used + c.iq_fp_used
-        };
+        let dest_iq_used = self.steering.iq_used(cluster);
         let decision = self.policy.value_copy(
             ValueCopy {
                 narrow,

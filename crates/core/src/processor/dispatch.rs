@@ -3,13 +3,13 @@
 //! registration.
 
 use heterowire_interconnect::FaultModel;
-use heterowire_isa::{OpClass, RegClass};
+use heterowire_isa::OpClass;
 use heterowire_memory::LoadBlockers;
 use heterowire_telemetry::Probe;
 
 use super::policy::TransferPolicy;
-use super::{Inflight, Phase, Processor, ValueInfo, FU_KINDS, NOT_SENT, NO_WAITER};
-use crate::steer::{ClusterView, ProducerInfo};
+use super::{iq_class, Inflight, Phase, Processor, ValueInfo, FU_KINDS, NOT_SENT, NO_WAITER};
+use crate::steer::{Demand, ProducerInfo};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// Dispatches from the fetch queue into the ROB and issue queues.
@@ -59,29 +59,14 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 }
             }
 
-            // Steer in one pass over the clusters' resource state.
-            let is_fp_q = op.op().is_fp();
-            let dest_fp = op.dest().map(|d| d.class() == RegClass::Fp);
-            let (iq_cap, regs_cap) = (self.config.iq_per_cluster, self.config.regs_per_cluster);
-            let clusters = &self.clusters;
+            // Steer over the occupancy index.
+            let demand = Demand {
+                queue: iq_class(op.op()),
+                dest: op.dest().map(|d| d.class()),
+            };
             let chosen = self
                 .steering
-                .choose_with(op.op() == OpClass::Load, producers, |c| {
-                    let cs = &clusters[c];
-                    let iq_used = if is_fp_q {
-                        cs.iq_fp_used
-                    } else {
-                        cs.iq_int_used
-                    };
-                    ClusterView {
-                        free_iq: iq_cap - iq_used,
-                        free_regs: match dest_fp {
-                            None => usize::MAX,
-                            Some(true) => regs_cap - cs.regs_fp_used,
-                            Some(false) => regs_cap - cs.regs_int_used,
-                        },
-                    }
-                });
+                .choose(op.op() == OpClass::Load, producers, demand);
             if P::ENABLED {
                 self.probe.steer_decision(self.cycle, chosen);
             }
@@ -94,22 +79,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             budget -= 1;
             self.dispatched += 1;
 
-            // Allocate resources.
-            {
-                let cs = &mut self.clusters[cluster];
-                if is_fp_q {
-                    cs.iq_fp_used += 1;
-                } else {
-                    cs.iq_int_used += 1;
-                }
-                if let Some(d) = op.dest() {
-                    if d.class() == RegClass::Fp {
-                        cs.regs_fp_used += 1;
-                    } else {
-                        cs.regs_int_used += 1;
-                    }
-                }
-            }
+            self.steering.dispatch(cluster, demand);
             let seq = op.seq();
             debug_assert_eq!(seq, self.rob_base + self.rob.len() as u64);
 

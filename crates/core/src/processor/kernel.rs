@@ -7,7 +7,7 @@ use heterowire_interconnect::{FaultModel, NetStats};
 use heterowire_telemetry::{BlockedTransfer, Probe, StallReport};
 
 use super::policy::{NarrowStats, TransferPolicy};
-use super::{Phase, Processor, FU_KINDS};
+use super::{iq_class, Phase, Processor, FU_KINDS};
 use crate::results::SimResults;
 
 /// Which scheduling kernel drives the run loop.
@@ -43,7 +43,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if self.fu_started[cluster][kind.index()] {
                 continue;
             }
-            if self.clusters[cluster].fu_free[kind.index()] > cycle {
+            if self.fu_free[cluster][kind.index()] > cycle {
                 continue;
             }
             // Operand readiness: stores only need their address operand
@@ -89,17 +89,12 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             // Issue.
             self.fu_started[cluster][kind.index()] = true;
             let latency = op.op().latency() as u64;
-            let cs = &mut self.clusters[cluster];
-            cs.fu_free[kind.index()] = if op.op().pipelined() {
+            self.fu_free[cluster][kind.index()] = if op.op().pipelined() {
                 cycle + 1
             } else {
                 cycle + latency
             };
-            if op.op().is_fp() {
-                cs.iq_fp_used = cs.iq_fp_used.saturating_sub(1);
-            } else {
-                cs.iq_int_used = cs.iq_int_used.saturating_sub(1);
-            }
+            self.steering.issue(cluster, iq_class(op.op()));
             self.rob[off].phase = Phase::Executing(cycle + latency);
             self.rob[off].issued_at = cycle;
             if P::ENABLED {
@@ -116,24 +111,19 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         let cycle = self.cycle;
         for queue in self.ready.nonempty() {
             let (cluster, kind) = (queue / FU_KINDS, queue % FU_KINDS);
-            if self.clusters[cluster].fu_free[kind] > cycle {
+            if self.fu_free[cluster][kind] > cycle {
                 continue;
             }
             let seq = self.ready.pop(queue).expect("non-empty ready queue");
             let op = self.rob_get(seq).expect("ready instr in rob").op;
             debug_assert_eq!(op.op().unit().index(), kind);
             let latency = op.op().latency() as u64;
-            let cs = &mut self.clusters[cluster];
-            cs.fu_free[kind] = if op.op().pipelined() {
+            self.fu_free[cluster][kind] = if op.op().pipelined() {
                 cycle + 1
             } else {
                 cycle + latency
             };
-            if op.op().is_fp() {
-                cs.iq_fp_used = cs.iq_fp_used.saturating_sub(1);
-            } else {
-                cs.iq_int_used = cs.iq_int_used.saturating_sub(1);
-            }
+            self.steering.issue(cluster, iq_class(op.op()));
             let inst = self.rob_get_mut(seq).expect("ready instr in rob");
             inst.phase = Phase::Executing(cycle + latency);
             inst.issued_at = cycle;
@@ -261,7 +251,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             next = next.min(c.max(soon));
         }
         for queue in self.ready.nonempty() {
-            let fu_free = self.clusters[queue / FU_KINDS].fu_free[queue % FU_KINDS];
+            let fu_free = self.fu_free[queue / FU_KINDS][queue % FU_KINDS];
             next = next.min(fu_free.max(soon));
         }
         next.max(soon)

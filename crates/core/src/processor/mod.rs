@@ -67,7 +67,7 @@ use heterowire_frontend::FetchEngine;
 use heterowire_interconnect::{FaultModel, NullFaultModel};
 use heterowire_interconnect::{NetConfig, Topology, Transfer};
 use heterowire_interconnect::{Network, TransferId};
-use heterowire_isa::{ArchReg, MicroOp};
+use heterowire_isa::{ArchReg, MicroOp, OpClass, RegClass};
 use heterowire_memory::{LoadBlockers, LoadStatus, LoadStoreQueue, LsqRef};
 use heterowire_memory::{MemConfig, MemoryHierarchy};
 use heterowire_telemetry::{NullProbe, Probe};
@@ -158,8 +158,8 @@ struct Inflight {
 /// construction (the `processor::slots` pool), so this cap only
 /// reflects the [`crate::ClusterMask`] width.
 pub const MAX_CLUSTERS: usize = heterowire_interconnect::MAX_SIM_CLUSTERS;
-// The criticality mask is one bit per cluster; widening past it means
-// widening `ClusterMask` first.
+// The criticality mask and the steering index are one bit per cluster;
+// widening past them means widening `ClusterMask` first.
 const _: () = assert!(MAX_CLUSTERS <= crate::ClusterMask::CAPACITY);
 /// Functional-unit kinds per cluster (`FuKind::ALL.len()`).
 const FU_KINDS: usize = 4;
@@ -177,6 +177,16 @@ const PARTIAL_SCAN: usize = 1;
 const NOT_SENT: u64 = u64::MAX;
 /// Arrival-slot sentinel: a copy is in flight, arrival cycle unknown.
 const IN_FLIGHT: u64 = u64::MAX - 1;
+
+/// The issue queue an operation waits in: the fp queue for fp
+/// arithmetic, the int queue for everything else.
+fn iq_class(op: OpClass) -> RegClass {
+    if op.is_fp() {
+        RegClass::Fp
+    } else {
+        RegClass::Int
+    }
+}
 
 #[derive(Debug, Clone)]
 struct ValueInfo {
@@ -218,27 +228,6 @@ enum Action {
     BranchSignal,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ClusterState {
-    iq_int_used: usize,
-    iq_fp_used: usize,
-    regs_int_used: usize,
-    regs_fp_used: usize,
-    fu_free: [u64; 4],
-}
-
-impl ClusterState {
-    fn new() -> Self {
-        ClusterState {
-            iq_int_used: 0,
-            iq_fp_used: 0,
-            regs_int_used: 0,
-            regs_fp_used: 0,
-            fu_free: [0; 4],
-        }
-    }
-}
-
 /// The processor simulator. Create with [`Processor::new`], run with
 /// [`Processor::run`].
 ///
@@ -264,11 +253,15 @@ pub struct Processor<
     network: Network<F>,
     lsq: LoadStoreQueue,
     memory: MemoryHierarchy,
+    /// The steering heuristic and the clusters' issue-queue and register
+    /// occupancy it indexes.
     steering: Steering,
 
     rob: std::collections::VecDeque<Inflight>,
     rob_base: u64, // seq of rob[0]
-    clusters: Vec<ClusterState>,
+    /// Per cluster and FU kind, the first cycle the unit can accept an
+    /// operation.
+    fu_free: Vec<[u64; FU_KINDS]>,
     /// Destination values and their per-cluster slots (arrivals / waiters
     /// / subscribers), in rows recycled like physical registers.
     values: ValuePool,
@@ -442,10 +435,15 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             network: Network::with_faults(net_config, faults),
             lsq: LoadStoreQueue::new(config.ls_bits),
             memory: MemoryHierarchy::new(mem_config),
-            steering: Steering::new(config.topology, SteeringWeights::default()),
+            steering: Steering::new(
+                config.topology,
+                SteeringWeights::default(),
+                config.iq_per_cluster,
+                config.regs_per_cluster,
+            ),
             rob: std::collections::VecDeque::with_capacity(config.rob_size),
             rob_base: 0,
-            clusters: vec![ClusterState::new(); n],
+            fu_free: vec![[0; FU_KINDS]; n],
             // Live rows never exceed one per register plus one per ROB
             // entry (the freeing rule in `slots`).
             values: ValuePool::new(n, config.rob_size + ARCH_REGS),
@@ -498,9 +496,11 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         &self.network
     }
 
-    /// Overrides the steering weights (must be called before `run`).
+    /// Overrides the steering weights. The clusters' live occupancy is
+    /// regrouped under the new weights in place, so this is sound at any
+    /// point of a run.
     pub fn set_steering_weights(&mut self, weights: SteeringWeights) {
-        self.steering = Steering::new(self.config.topology, weights);
+        self.steering.set_weights(weights);
     }
 
     /// Mean load latency from address generation to data arrival at the

@@ -7,7 +7,7 @@
 //! [`super`] for the node encoding).
 
 use heterowire_interconnect::FaultModel;
-use heterowire_isa::{OpClass, RegClass};
+use heterowire_isa::OpClass;
 use heterowire_telemetry::Probe;
 
 use super::policy::TransferPolicy;
@@ -97,13 +97,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if P::ENABLED {
                 self.probe.commit(cycle, seq);
             }
-            let cs = &mut self.clusters[inst.cluster];
             if let Some(d) = inst.op.dest() {
-                if d.class() == RegClass::Fp {
-                    cs.regs_fp_used = cs.regs_fp_used.saturating_sub(1);
-                } else {
-                    cs.regs_int_used = cs.regs_int_used.saturating_sub(1);
-                }
+                self.steering.commit(inst.cluster, d.class());
             }
             // The destination's previous value is dead: every reader
             // renamed before this op, so has already committed.

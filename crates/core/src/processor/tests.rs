@@ -29,6 +29,24 @@ fn simulation_is_deterministic() {
 }
 
 #[test]
+fn reweighting_mid_run_keeps_the_occupancy() {
+    // Mid-run the issue queues and register files are occupied; setting
+    // the weights already in force must regroup that occupancy, not
+    // forget it, so the second leg runs exactly as without the call.
+    let run = |reweight: bool| {
+        let config = ProcessorConfig::for_model(InterconnectModel::X, Topology::hier16());
+        let trace = TraceGenerator::new(profile::by_name("art").unwrap(), 5);
+        let mut p = Processor::new(config, trace);
+        p.run(3_000, 0);
+        if reweight {
+            p.set_steering_weights(SteeringWeights::default());
+        }
+        p.run(6_000, 0)
+    };
+    assert_eq!(run(true), run(false));
+}
+
+#[test]
 fn l_wires_do_not_hurt_performance() {
     // Model VII = Model I's B-wires + an L plane with all three L
     // optimizations; across a few benchmarks the mean IPC must not drop.

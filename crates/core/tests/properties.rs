@@ -3,29 +3,196 @@
 
 use heterowire_rng::SmallRng;
 
-use heterowire_core::steer::{ClusterView, ProducerInfo};
+use heterowire_core::steer::{Demand, ProducerInfo};
 use heterowire_core::{
     relative_report, EnergyParams, InterconnectModel, NarrowPredictor, Processor, ProcessorConfig,
     Steering, SteeringWeights,
 };
 use heterowire_interconnect::Topology;
+use heterowire_isa::RegClass;
 use heterowire_trace::{spec2000, TraceGenerator};
 
 const CASES: usize = 256;
+
+/// Per-cluster capacities of the steering tests: a small register file,
+/// so register exhaustion (which leaves the ideal's score intact) is
+/// common, and an issue queue deep enough that default weights put levels
+/// 8–10 in one score group.
+const IQ: usize = 10;
+const REGS: usize = 6;
+
+/// A cluster's free resources for one instruction, as the oracle sees
+/// them.
+#[derive(Debug, Clone, Copy)]
+struct ClusterView {
+    /// Free entries in the instruction's issue queue.
+    free_iq: usize,
+    /// Free registers of its destination class (`usize::MAX` when it
+    /// writes none).
+    free_regs: usize,
+}
+
+impl ClusterView {
+    fn has_resources(&self) -> bool {
+        self.free_iq > 0 && self.free_regs > 0
+    }
+}
+
+/// Occupancy counts kept apart from the index, driven through the same
+/// dispatch, issue and commit events.
+struct Shadow {
+    /// Entries in use per cluster, int and fp queue.
+    iq: [Vec<usize>; 2],
+    /// Registers in use per cluster, int and fp file.
+    regs: [Vec<usize>; 2],
+    /// Dispatched, not issued: `(cluster, queue)`.
+    waiting: Vec<(usize, RegClass)>,
+    /// Dispatched with a destination, not committed: `(cluster, class)`.
+    holding: Vec<(usize, RegClass)>,
+}
+
+impl Shadow {
+    fn new(n: usize) -> Self {
+        Shadow {
+            iq: [vec![0; n], vec![0; n]],
+            regs: [vec![0; n], vec![0; n]],
+            waiting: Vec::new(),
+            holding: Vec::new(),
+        }
+    }
+
+    /// Every cluster's resources for an instruction with `demand`.
+    fn views(&self, demand: Demand) -> Vec<ClusterView> {
+        (0..self.iq[0].len())
+            .map(|c| ClusterView {
+                free_iq: IQ - self.iq[demand.queue as usize][c],
+                free_regs: demand
+                    .dest
+                    .map_or(usize::MAX, |r| REGS - self.regs[r as usize][c]),
+            })
+            .collect()
+    }
+
+    /// Dispatches to `cluster` on both the shadow and `steering`.
+    fn dispatch(&mut self, steering: &mut Steering, cluster: usize, demand: Demand) {
+        steering.dispatch(cluster, demand);
+        self.iq[demand.queue as usize][cluster] += 1;
+        self.waiting.push((cluster, demand.queue));
+        if let Some(r) = demand.dest {
+            self.regs[r as usize][cluster] += 1;
+            self.holding.push((cluster, r));
+        }
+    }
+
+    /// Issues the `i`-th waiting instruction.
+    fn issue_at(&mut self, steering: &mut Steering, i: usize) {
+        let (c, q) = self.waiting.swap_remove(i);
+        steering.issue(c, q);
+        self.iq[q as usize][c] -= 1;
+    }
+
+    /// Issues a random waiting instruction, if any.
+    fn issue(&mut self, steering: &mut Steering, rng: &mut SmallRng) {
+        if !self.waiting.is_empty() {
+            self.issue_at(steering, rng.gen_range(0..self.waiting.len()));
+        }
+    }
+
+    /// Commits a random register-holding instruction, if any.
+    fn commit(&mut self, steering: &mut Steering, rng: &mut SmallRng) {
+        if !self.holding.is_empty() {
+            let (c, r) = self
+                .holding
+                .swap_remove(rng.gen_range(0..self.holding.len()));
+            steering.commit(c, r);
+            self.regs[r as usize][c] -= 1;
+        }
+    }
+}
+
+/// A random instruction for steering on `n` clusters: `(is_load, demand,
+/// producers)`. Int and fp queues; int, fp or no destination; FP loads
+/// wait in the int queue but write an fp register. Producers may repeat a
+/// cluster, as when both operands come from one.
+fn random_op(rng: &mut SmallRng, n: usize) -> (bool, Demand, Vec<ProducerInfo>) {
+    use RegClass::{Fp, Int};
+    let (is_load, queue, dest) = match rng.gen_range(0usize..6) {
+        0 => (false, Int, Some(Int)),
+        1 => (false, Fp, Some(Fp)),
+        2 => (true, Int, Some(Int)),
+        3 => (true, Int, Some(Fp)),
+        4 => (false, Int, None),
+        _ => (false, Fp, None),
+    };
+    let producers = (0..rng.gen_range(0usize..3))
+        .map(|_| ProducerInfo {
+            cluster: rng.gen_range(0..n),
+            critical: rng.gen_bool(0.5),
+        })
+        .collect();
+    (is_load, Demand { queue, dest }, producers)
+}
+
+/// The weight sets the steering tests cover: the defaults, a free-slot
+/// term that is flat, one that penalises free slots, a cap above the
+/// queue depth (one score group per level), a cache bonus equal to a
+/// producer's (an adjacent non-producer ties a non-adjacent producer),
+/// and a critical weight that scores a critical producer below its own
+/// score group.
+fn weight_sets() -> [SteeringWeights; 6] {
+    let base = SteeringWeights::default();
+    [
+        base,
+        SteeringWeights {
+            free_slot: 0,
+            ..base
+        },
+        SteeringWeights {
+            free_slot: -2,
+            ..base
+        },
+        SteeringWeights {
+            free_cap: IQ as i64 + 5,
+            ..base
+        },
+        SteeringWeights {
+            cache_proximity: base.dependence,
+            ..base
+        },
+        SteeringWeights {
+            critical: -(base.dependence + 3),
+            ..base
+        },
+    ]
+}
 
 /// Steering never returns a resource-less cluster, and returns None
 /// exactly when no cluster has resources.
 #[test]
 fn steering_respects_resources() {
     let mut rng = SmallRng::seed_from_u64(0xc04e_0001);
-    let s = Steering::new(Topology::crossbar4(), SteeringWeights::default());
+    let topology = Topology::crossbar4();
     for _ in 0..CASES {
-        let views: Vec<ClusterView> = (0..4)
-            .map(|_| ClusterView {
-                free_iq: rng.gen_range(0usize..4),
-                free_regs: rng.gen_range(0usize..4),
-            })
-            .collect();
+        let mut s = Steering::new(topology, SteeringWeights::default(), IQ, REGS);
+        let mut shadow = Shadow::new(4);
+        // Load each cluster to random free levels in 0..4.
+        let int_op = Demand {
+            queue: RegClass::Int,
+            dest: Some(RegClass::Int),
+        };
+        let no_dest = Demand {
+            dest: None,
+            ..int_op
+        };
+        for c in 0..4 {
+            for _ in rng.gen_range(0usize..4)..REGS {
+                shadow.dispatch(&mut s, c, int_op);
+                shadow.issue_at(&mut s, shadow.waiting.len() - 1);
+            }
+            for _ in rng.gen_range(0usize..4)..IQ {
+                shadow.dispatch(&mut s, c, no_dest);
+            }
+        }
         let producers: Vec<ProducerInfo> = if rng.gen_bool(0.5) {
             vec![ProducerInfo {
                 cluster: rng.gen_range(0usize..4),
@@ -35,7 +202,8 @@ fn steering_respects_resources() {
             Vec::new()
         };
         let is_load = rng.gen_bool(0.5);
-        match s.choose(is_load, &producers, &views) {
+        let views = shadow.views(int_op);
+        match s.choose(is_load, &producers, int_op) {
             Some(c) => assert!(views[c].has_resources()),
             None => assert!(views.iter().all(|v| !v.has_resources())),
         }
@@ -46,7 +214,7 @@ fn steering_respects_resources() {
 /// clusters — score every cluster, take the best, fall back to the best
 /// resourced cluster preferring the ideal's quad — with the topology
 /// answering quad and cache adjacency per call. The oracle for the
-/// production one-pass chooser. Returns `(ideal, choice)`.
+/// production occupancy index. Returns `(ideal, choice)`.
 fn three_pass_choose(
     topology: Topology,
     w: SteeringWeights,
@@ -80,69 +248,58 @@ fn three_pass_choose(
     (ideal, fallback)
 }
 
-/// Production steering picks exactly the three-pass oracle's cluster on
-/// randomized cluster state, from the paper's shapes to 64 clusters:
-/// loads, critical producers, and ideal clusters stripped of resources so
-/// the same-quad and any-quad fallbacks both run.
+/// Production steering picks exactly the three-pass oracle's cluster while
+/// its occupancy index is driven through random dispatch, issue and commit
+/// sequences, from the paper's shapes to 64 clusters (bit 63 and the
+/// all-ones mask), under every weight set of [`weight_sets`]. Phases that
+/// fill and drain the machine make the ideal run out of registers or
+/// queue entries, so the same-quad and any-quad fallbacks and whole-machine
+/// stalls all occur.
 #[test]
 fn steering_matches_three_pass_oracle() {
     let mut rng = SmallRng::seed_from_u64(0xc04e_0006);
-    let w = SteeringWeights::default();
     for topology in [
         Topology::crossbar4(),
         Topology::hier16(),
         Topology::hier_ring(16, 4),
         Topology::crossbar(64),
     ] {
-        let s = Steering::new(topology, w);
         let n = topology.clusters();
         let (mut fallbacks, mut other_quad, mut stalls) = (0, 0, 0);
-        for case in 0..4 * CASES {
-            // Sparse resources in some cases, so whole quads (or the
-            // whole machine) run dry.
-            let empty = [0.1, 0.5, 0.9, 1.0][case % 4];
-            let mut views: Vec<ClusterView> = (0..n)
-                .map(|_| ClusterView {
-                    free_iq: if rng.gen_bool(empty) {
-                        0
+        for w in weight_sets() {
+            let mut s = Steering::new(topology, w, IQ, REGS);
+            let mut shadow = Shadow::new(n);
+            for p_dispatch in [0.95, 0.5, 0.1, 0.95, 0.5] {
+                for _ in 0..16 * n {
+                    let (is_load, demand, producers) = random_op(&mut rng, n);
+                    let views = shadow.views(demand);
+                    let (ideal, want) = three_pass_choose(topology, w, is_load, &producers, &views);
+                    match want {
+                        Some(c) if c != ideal => {
+                            fallbacks += 1;
+                            if topology.quad_of(c) != topology.quad_of(ideal) {
+                                other_quad += 1;
+                            }
+                        }
+                        None => stalls += 1,
+                        _ => {}
+                    }
+                    let got = s.choose(is_load, &producers, demand);
+                    assert_eq!(
+                        got, want,
+                        "{topology:?} {w:?}: load {is_load}, {demand:?}, producers {producers:?}, views {views:?}"
+                    );
+                    if rng.gen_bool(p_dispatch) {
+                        if let Some(c) = got {
+                            shadow.dispatch(&mut s, c, demand);
+                        }
+                    } else if rng.gen_bool(0.5) {
+                        shadow.issue(&mut s, &mut rng);
                     } else {
-                        rng.gen_range(1usize..12)
-                    },
-                    free_regs: if rng.gen_bool(0.2) {
-                        usize::MAX
-                    } else {
-                        rng.gen_range(0usize..6)
-                    },
-                })
-                .collect();
-            let producers: Vec<ProducerInfo> = (0..rng.gen_range(0usize..3))
-                .map(|_| ProducerInfo {
-                    cluster: rng.gen_range(0..n),
-                    critical: rng.gen_bool(0.5),
-                })
-                .collect();
-            let is_load = rng.gen_bool(0.4);
-            if rng.gen_bool(0.5) {
-                // Out of registers: same score, so still the ideal.
-                let (ideal, _) = three_pass_choose(topology, w, is_load, &producers, &views);
-                views[ideal].free_regs = 0;
-            }
-            let (ideal, want) = three_pass_choose(topology, w, is_load, &producers, &views);
-            match want {
-                Some(c) if c != ideal => {
-                    fallbacks += 1;
-                    if topology.quad_of(c) != topology.quad_of(ideal) {
-                        other_quad += 1;
+                        shadow.commit(&mut s, &mut rng);
                     }
                 }
-                None => stalls += 1,
-                _ => {}
             }
-            assert_eq!(
-                s.choose(is_load, &producers, &views),
-                want,
-                "{topology:?}: load {is_load}, producers {producers:?}, views {views:?}"
-            );
         }
         assert!(fallbacks > CASES / 4, "{topology:?}: {fallbacks} fallbacks");
         assert!(
@@ -150,6 +307,42 @@ fn steering_matches_three_pass_oracle() {
             "{topology:?}: no fallback left the ideal's quad"
         );
         assert!(stalls > 0, "{topology:?}: no stall case");
+    }
+}
+
+/// Re-weighting a loaded index regroups its live occupancy: after
+/// `set_weights`, every choice is the oracle's under the new weights.
+#[test]
+fn reweighting_a_loaded_index_matches_the_oracle() {
+    let mut rng = SmallRng::seed_from_u64(0xc04e_0007);
+    for topology in [Topology::hier16(), Topology::crossbar(64)] {
+        let n = topology.clusters();
+        let mut s = Steering::new(topology, SteeringWeights::default(), IQ, REGS);
+        let mut shadow = Shadow::new(n);
+        for w in weight_sets().into_iter().rev() {
+            // Load under the current weights, then switch.
+            for _ in 0..4 * n {
+                let (is_load, demand, producers) = random_op(&mut rng, n);
+                if rng.gen_bool(0.8) {
+                    if let Some(c) = s.choose(is_load, &producers, demand) {
+                        shadow.dispatch(&mut s, c, demand);
+                    }
+                } else {
+                    shadow.issue(&mut s, &mut rng);
+                }
+            }
+            s.set_weights(w);
+            for _ in 0..CASES {
+                let (is_load, demand, producers) = random_op(&mut rng, n);
+                let views = shadow.views(demand);
+                let (_, want) = three_pass_choose(topology, w, is_load, &producers, &views);
+                assert_eq!(
+                    s.choose(is_load, &producers, demand),
+                    want,
+                    "{topology:?} {w:?}"
+                );
+            }
+        }
     }
 }
 
