@@ -45,11 +45,11 @@ fn main() {
             let mut lsq = LoadStoreQueue::new(8);
             for i in 0..1_000u64 {
                 let s = i * 2;
-                lsq.insert(s, true);
-                lsq.insert(s + 1, false);
-                lsq.arrive_full(s, 0x1000 + i * 64, i);
-                lsq.arrive_full(s + 1, 0x9000 + i * 64, i);
-                std::hint::black_box(lsq.load_status(s + 1, i, true));
+                let store = lsq.insert(s, true);
+                let load = lsq.insert(s + 1, false);
+                lsq.arrive_full_ref(store, 0x1000 + i * 64, i);
+                lsq.arrive_full_ref(load, 0x9000 + i * 64, i);
+                std::hint::black_box(lsq.load_status_ref(load, i, true));
                 lsq.retire_through(s + 1);
             }
         }),

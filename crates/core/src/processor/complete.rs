@@ -395,10 +395,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     pub(super) fn progress_memory_loads(&mut self, poll_all: bool) {
         let cycle = self.cycle;
         let use_partial = self.config.opts.cache_pipeline;
-        debug_assert!(
-            self.lsq.next_event_cycle(cycle).is_none(),
-            "LSQ address stamps are recorded at delivery, never ahead"
-        );
         let retired = std::mem::take(&mut self.retired_store);
         if !(poll_all || std::mem::take(&mut self.loads_woken) || retired) {
             return;

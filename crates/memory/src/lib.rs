@@ -18,12 +18,12 @@
 //! use heterowire_memory::lsq::{LoadStoreQueue, LoadStatus};
 //!
 //! let mut lsq = LoadStoreQueue::new(8);
-//! lsq.insert(1, true);  // store
-//! lsq.insert(2, false); // load
-//! lsq.arrive_partial(1, 0x1000, 1);
-//! lsq.arrive_partial(2, 0x2008, 1);
+//! let store = lsq.insert(1, true);
+//! let load = lsq.insert(2, false);
+//! lsq.arrive_partial_ref(store, 0x1000, 1);
+//! lsq.arrive_partial_ref(load, 0x2008, 1);
 //! // LS bits differ, so the load may begin its cache access immediately:
-//! assert_eq!(lsq.load_status(2, 1, true), LoadStatus::PartialReady);
+//! assert_eq!(lsq.load_status_ref(load, 1, true), LoadStatus::PartialReady);
 //! ```
 
 pub mod cache;
