@@ -9,7 +9,7 @@
 
 use heterowire_bench::timing::bench;
 use heterowire_interconnect::{
-    MessageKind, NetConfig, Network, Node, ReferenceNetwork, Topology, Transfer, TransferId,
+    MessageKind, NetConfig, Network, Node, ReferenceNetwork, Topology, Transfer,
 };
 use heterowire_rng::SmallRng;
 use heterowire_wires::{LinkComposition, WireClass, WirePlane};
@@ -56,7 +56,8 @@ fn transfer(rng: &mut SmallRng, clusters: usize) -> Transfer {
 macro_rules! drive {
     ($net:expr, $seed:expr, $cycles:expr, $send_slots:expr, $p_send:expr) => {{
         let mut rng = SmallRng::seed_from_u64($seed);
-        let mut buf: Vec<(TransferId, Transfer)> = Vec::new();
+        // Each engine infers its own delivery record type.
+        let mut buf = Vec::new();
         let mut delivered = 0usize;
         for cycle in 1..=$cycles {
             for _ in 0..$send_slots {

@@ -9,7 +9,7 @@
 
 use std::cmp::Reverse;
 
-use heterowire_interconnect::{FaultModel, MessageKind, Node, Transfer, TransferId};
+use heterowire_interconnect::{FaultModel, MessageKind, Node, Sent, Transfer};
 use heterowire_isa::{OpClass, RegClass};
 use heterowire_memory::{LoadBlockers, LoadStatus};
 use heterowire_telemetry::Probe;
@@ -74,10 +74,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         if decision.delay > 0 {
             self.defer_send(self.cycle + decision.delay, transfer, action);
         } else {
-            let id = self
+            let sent = self
                 .network
                 .send_probed(transfer, self.cycle, &mut self.probe);
-            self.record_action(id, action);
+            self.record_action(sent, action);
         }
         self.values.set_arrival(row, cluster, IN_FLIGHT);
     }
@@ -94,11 +94,18 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         self.wake_waiters(row, cluster);
     }
 
-    /// Records the delivery action of a freshly sent transfer. Transfer
-    /// ids are dense in send order, so actions live in a plain vector.
-    pub(super) fn record_action(&mut self, id: TransferId, action: Action) {
-        debug_assert_eq!(id.0 as usize, self.actions.len());
-        self.actions.push(action);
+    /// Records the delivery action of a freshly sent transfer under its
+    /// network slot. Slots are dense and a new one is always the next
+    /// index, so the table pushes for a new slot and overwrites a reused
+    /// one. The network holds the slot until the drain after the
+    /// delivery, so the action stays readable while its batch is walked.
+    pub(super) fn record_action(&mut self, sent: Sent, action: Action) {
+        let slot = sent.slot as usize;
+        if slot == self.actions.len() {
+            self.actions.push(action);
+        } else {
+            self.actions[slot] = action;
+        }
     }
 
     /// Records a memory op's partial ([`PARTIAL_SCAN`]) or full
@@ -194,8 +201,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         let mut delivered = std::mem::take(&mut self.delivered_scratch);
         self.network
             .take_delivered_into_probed(self.cycle, &mut delivered, &mut self.probe);
-        for &(id, _t) in &delivered {
-            let action = self.actions[id.0 as usize];
+        for d in &delivered {
+            let action = self.actions[d.slot as usize];
             match action {
                 Action::ValueArrive { row, cluster } => {
                     let cluster = cluster as usize;
@@ -246,10 +253,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 break;
             }
             self.deferred.pop();
-            let id = self
+            let sent = self
                 .network
                 .send_probed(d.transfer, self.cycle, &mut self.probe);
-            self.record_action(id, d.action);
+            self.record_action(sent, d.action);
         }
     }
 
@@ -322,7 +329,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                         self.misp_exec_wait += cycle.saturating_sub(i);
                         self.misp_count += 1;
                         let decision = self.policy.branch_signal(cycle, &mut self.probe);
-                        let id = self.network.send_probed(
+                        let sent = self.network.send_probed(
                             Transfer {
                                 src: Node::Cluster(cluster),
                                 dst: Node::Cache,
@@ -332,7 +339,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                             cycle,
                             &mut self.probe,
                         );
-                        self.record_action(id, Action::BranchSignal);
+                        self.record_action(sent, Action::BranchSignal);
                     }
                 }
                 _ => {
@@ -355,7 +362,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     pub(super) fn send_address(&mut self, seq: u64, cluster: usize) {
         let cycle = self.cycle;
         if self.policy.dispatches_partial_address() {
-            let id = self.network.send_probed(
+            let sent = self.network.send_probed(
                 Transfer {
                     src: Node::Cluster(cluster),
                     dst: Node::Cache,
@@ -365,10 +372,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 cycle,
                 &mut self.probe,
             );
-            self.record_action(id, Action::PartialAddr { seq });
+            self.record_action(sent, Action::PartialAddr { seq });
         }
         let class = self.policy.full_address(cycle, &mut self.probe);
-        let id = self.network.send_probed(
+        let sent = self.network.send_probed(
             Transfer {
                 src: Node::Cluster(cluster),
                 dst: Node::Cache,
@@ -378,7 +385,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             cycle,
             &mut self.probe,
         );
-        self.record_action(id, Action::FullAddr { seq });
+        self.record_action(sent, Action::FullAddr { seq });
     }
 
     /// Advances loads at the cache through disambiguation and RAM access,
@@ -552,7 +559,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     pub(super) fn send_store_data(&mut self, seq: u64, cluster: usize) {
         let cycle = self.cycle;
         let class = self.policy.store_data(cycle, &mut self.probe);
-        let id = self.network.send_probed(
+        let sent = self.network.send_probed(
             Transfer {
                 src: Node::Cluster(cluster),
                 dst: Node::Cache,
@@ -562,7 +569,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             cycle,
             &mut self.probe,
         );
-        self.record_action(id, Action::StoreData { seq });
+        self.record_action(sent, Action::StoreData { seq });
         self.rob_get_mut(seq).expect("in rob").store_data_sent = true;
     }
 }

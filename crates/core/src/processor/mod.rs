@@ -64,9 +64,9 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 use heterowire_frontend::FetchEngine;
+use heterowire_interconnect::{Delivery, Network};
 use heterowire_interconnect::{FaultModel, NullFaultModel};
-use heterowire_interconnect::{NetConfig, Topology, Transfer};
-use heterowire_interconnect::{Network, TransferId};
+use heterowire_interconnect::{NetConfig, Topology};
 use heterowire_isa::{ArchReg, MicroOp, OpClass, RegClass};
 use heterowire_memory::{LoadBlockers, LoadStatus, LoadStoreQueue, LsqRef};
 use heterowire_memory::{MemConfig, MemoryHierarchy};
@@ -268,8 +268,10 @@ pub struct Processor<
     /// Current producer `(seq, row)` per architectural register (`None` =
     /// architected state predating the window).
     rename: [Option<(u64, u32)>; ARCH_REGS],
-    /// Delivery action per transfer, indexed by `TransferId` (ids are
-    /// assigned densely in send order).
+    /// Delivery action per transfer, indexed by the network slot the
+    /// transfer holds from send to delivery. It grows only when the
+    /// network's slab does, so its length follows the transfers in
+    /// flight, not the transfers sent.
     actions: Vec<Action>,
     /// Deferred sends as a deterministic min-heap (see [`DeferredSend`]).
     deferred: std::collections::BinaryHeap<Reverse<DeferredSend>>,
@@ -299,7 +301,7 @@ pub struct Processor<
     fu_started: Vec<[bool; 4]>,
     finished_scratch: Vec<u64>,
     store_send_scratch: Vec<(u64, usize)>,
-    delivered_scratch: Vec<(TransferId, Transfer)>,
+    delivered_scratch: Vec<Delivery>,
 
     cycle: u64,
     committed: u64,

@@ -358,6 +358,35 @@ mod mechanism_tests {
     }
 
     #[test]
+    fn action_table_is_bounded_by_transfers_in_flight() {
+        // Delivery actions are keyed by the network slot a transfer holds
+        // from send to delivery, so the table follows the transfers in
+        // flight, not the transfers sent. Measured on gcc (seed 7): 27-35
+        // entries on crossbar4 and 35-63 on hier16 and ring:16x4 over
+        // 5k-20k windows that send 6k-25k transfers; five benchmarks on
+        // the same shapes peak at 84.
+        const BOUND: usize = 256;
+        for topology in [
+            Topology::crossbar4(),
+            Topology::hier16(),
+            Topology::hier_ring(16, 4),
+        ] {
+            for window in [5_000, 20_000] {
+                let config = ProcessorConfig::for_model(InterconnectModel::X, topology);
+                let trace = TraceGenerator::new(profile::by_name("gcc").unwrap(), 7);
+                let mut p = Processor::new(config, trace);
+                let sent = p.run(window, 500).net.total_transfers() as usize;
+                let len = p.actions.len();
+                assert!(len <= BOUND, "{topology:?} {window}: {len} actions");
+                assert!(
+                    len * 20 < sent,
+                    "{topology:?} {window}: {len} actions for {sent} transfers"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn narrower_dispatch_hurts() {
         let mut narrow_cfg =
             ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());

@@ -60,7 +60,7 @@ pub use fault::{
 };
 pub use fvc::FrequentValueTable;
 pub use message::{MessageKind, Transfer};
-pub use network::{NetConfig, NetStats, Network, TransferId};
+pub use network::{Delivery, NetConfig, NetStats, Network, Sent, TransferId};
 pub use policy::{AvailablePlanes, LoadBalancer, TransferHints, WirePolicy};
 pub use reference::ReferenceNetwork;
 pub use topo::{TopoSpecError, TopologyPreset, TopologySpec};

@@ -25,6 +25,12 @@
 //! * Departed transfers go into a power-of-two calendar wheel keyed by
 //!   delivery cycle, so draining deliveries touches only due buckets and
 //!   `next_event_cycle` reads the exact earliest delivery in O(1).
+//! * A transfer holds one slab slot from `send` until its clean delivery:
+//!   the queues and the wheel carry the slot, a retransmission keeps it,
+//!   and a delivered slot is released at the start of the next drain. The
+//!   slot is returned by `send` and carried by each [`Delivery`], so a
+//!   caller can key per-transfer state by it and stay bounded by the
+//!   transfers in flight.
 //!
 //! The engine is additionally generic over a [`FaultModel`]. With the
 //! default [`NullFaultModel`] (`ENABLED = false`) every corruption check
@@ -48,6 +54,32 @@ use crate::topology::{LinkId, Node, Topology, MAX_ROUTE_LINKS};
 /// Identifier of an in-flight or delivered transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferId(pub u64);
+
+/// What [`Network::send`] hands back: the transfer's id and the slab slot
+/// it holds until its clean delivery. Slots are dense from 0 and reused
+/// only after delivery, so a table keyed by the slot grows with the
+/// transfers in flight, not with the transfers sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Sent {
+    /// Send-order id, kept across retransmissions.
+    pub id: TransferId,
+    /// Slab slot, kept across retransmissions.
+    pub slot: u32,
+}
+
+/// One clean delivery drained by [`Network::take_delivered_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivery {
+    /// The id [`Network::send`] returned.
+    pub id: TransferId,
+    /// The slot [`Network::send`] returned. It is not handed to another
+    /// send before the next `take_delivered_into` call, so state keyed by
+    /// it stays readable while the caller walks the batch (and sends).
+    pub slot: u32,
+    /// The transfer as delivered (a retransmission may have escalated its
+    /// class).
+    pub transfer: Transfer,
+}
 
 /// Network configuration.
 #[derive(Debug, Clone)]
@@ -160,11 +192,13 @@ struct ArbSlot {
     ci: u8,
 }
 
-/// Slab entry holding the fields only read when a transfer departs.
+/// Slab entry holding the fields read when a transfer departs and while it
+/// rides the delivery wheel.
 #[derive(Debug, Clone, Copy)]
 struct DepSlot {
     transfer: Transfer,
     latency: u64,
+    /// Route energy hops (also the corruption draw's exposure term).
     hops: u32,
     /// External transfer id. Queues order by `aseq` (which equals the id
     /// until a retransmission is injected), so departures read the id
@@ -172,9 +206,14 @@ struct DepSlot {
     id: u64,
     /// Prior corrupted deliveries of this transfer (0 = original send).
     attempt: u32,
-    /// Delivery cycle the first attempt was scheduled for; retried
-    /// attempts carry it forward so clean arrival can account the total
-    /// retry delay. Unused (0) while `attempt == 0`.
+    /// Scheduled delivery cycle, written at grant.
+    deliver_at: u64,
+    /// Grant order, written at grant: sorting a drained batch by it
+    /// restores the reference engine's departure order.
+    dseq: u64,
+    /// Delivery cycle the first attempt was scheduled for, written at the
+    /// first grant and kept by retries so clean arrival can account the
+    /// total retry delay.
     first_deliver: u64,
 }
 
@@ -193,33 +232,17 @@ struct Head {
     cur: u32,
 }
 
-/// One departed transfer waiting on the delivery wheel. `dseq` is a
-/// monotone grant counter: sorting a drained batch by it restores the
-/// reference engine's departure order for probe emission.
-#[derive(Debug, Clone, Copy)]
-struct WheelEntry {
-    deliver_at: u64,
-    dseq: u64,
-    id: u64,
-    transfer: Transfer,
-    /// Route energy hops (the corruption draw's exposure term).
-    hops: u32,
-    /// Prior corrupted deliveries of this transfer.
-    attempt: u32,
-    /// First attempt's scheduled delivery cycle (retry-delay accounting).
-    first_deliver: u64,
-}
-
-/// Calendar queue of in-transit transfers keyed by delivery cycle (same
-/// shape as the processor's completion wheel). The bucket count is a
-/// power of two strictly greater than the longest possible delivery
-/// latency for the network's configuration, so under monotone use a
-/// bucket only ever holds entries for one cycle; every drain still checks
-/// per-entry due-ness, and `earliest` never overestimates, so deliveries
-/// are never missed even for manual non-monotone call patterns.
+/// Calendar queue of in-transit transfers' slab slots keyed by delivery
+/// cycle (same shape as the processor's completion wheel). The bucket
+/// count is a power of two strictly greater than the longest possible
+/// delivery latency for the network's configuration, so under monotone
+/// use a bucket only ever holds entries for one cycle; every drain still
+/// checks per-entry due-ness, and `earliest` never overestimates, so
+/// deliveries are never missed even for manual non-monotone call
+/// patterns.
 #[derive(Debug, Clone)]
 struct DeliveryWheel {
-    buckets: Vec<Vec<WheelEntry>>,
+    buckets: Vec<Vec<u32>>,
     mask: u64,
     scheduled: usize,
     /// Earliest scheduled delivery cycle — exact under monotone use,
@@ -238,21 +261,20 @@ impl DeliveryWheel {
         }
     }
 
-    fn schedule(&mut self, now: u64, entry: WheelEntry) {
+    fn schedule(&mut self, now: u64, slot: u32, deliver_at: u64) {
         debug_assert!(
-            entry.deliver_at > now && entry.deliver_at - now <= self.mask,
-            "delivery {} outside wheel horizon at cycle {now}",
-            entry.deliver_at
+            deliver_at > now && deliver_at - now <= self.mask,
+            "delivery {deliver_at} outside wheel horizon at cycle {now}"
         );
-        self.buckets[(entry.deliver_at & self.mask) as usize].push(entry);
+        self.buckets[(deliver_at & self.mask) as usize].push(slot);
         self.scheduled += 1;
-        self.earliest = self.earliest.min(entry.deliver_at);
+        self.earliest = self.earliest.min(deliver_at);
     }
 
-    /// Moves every entry due at or before `cycle` into `out` (in bucket
-    /// order, not departure order) and advances `earliest` to the first
-    /// surviving delivery.
-    fn drain_due(&mut self, cycle: u64, out: &mut Vec<WheelEntry>) {
+    /// Moves every slot due at or before `cycle` (by its `deliver_at` in
+    /// `dep`) into `out`, in bucket order, not departure order, and
+    /// advances `earliest` to the first surviving delivery.
+    fn drain_due(&mut self, cycle: u64, dep: &[DepSlot], out: &mut Vec<u32>) {
         if self.earliest > cycle {
             return;
         }
@@ -266,11 +288,11 @@ impl DeliveryWheel {
             let b = &mut self.buckets[((lo + i) & self.mask) as usize];
             let mut kept = 0;
             for j in 0..b.len() {
-                let e = b[j];
-                if e.deliver_at <= cycle {
-                    out.push(e);
+                let slot = b[j];
+                if dep[slot as usize].deliver_at <= cycle {
+                    out.push(slot);
                 } else {
-                    b[kept] = e;
+                    b[kept] = slot;
                     kept += 1;
                 }
             }
@@ -318,7 +340,8 @@ pub struct Network<F: FaultModel = NullFaultModel> {
     arb: Vec<ArbSlot>,
     /// Departure-read slab half, parallel to `arb`.
     dep: Vec<DepSlot>,
-    /// Free slab slots.
+    /// Free slab slots. A slot is held from `send` until its clean
+    /// delivery and freed at the start of the drain after that.
     free: Vec<u32>,
     /// Per-(source link slot, class) FIFO queues of `(aseq, slab slot)`
     /// pairs, aseq-sorted because arbitration sequence numbers are
@@ -343,9 +366,11 @@ pub struct Network<F: FaultModel = NullFaultModel> {
     /// Pending transfers across all queues.
     pending_count: usize,
     wheel: DeliveryWheel,
-    /// Scratch for wheel drains (reused; no steady-state allocation).
-    drained: Vec<WheelEntry>,
-    /// Monotone grant counter tagging wheel entries with departure order.
+    /// Slots drained from the wheel. After a drain it holds the slots
+    /// delivered clean, which the next drain frees before reusing it (no
+    /// steady-state allocation).
+    drained: Vec<u32>,
+    /// Monotone grant counter tagging departures with their order.
     dseq: u64,
     next_id: u64,
     /// Monotone arbitration sequence: the queue/frontier ordering key,
@@ -511,25 +536,21 @@ impl<F: FaultModel> Network<F> {
     }
 
     /// Enqueues a transfer at `cycle`. It will compete for lanes starting
-    /// with the next [`Network::tick`].
+    /// with the next [`Network::tick`]. Returns its id and the slot it
+    /// holds until delivered (see [`Sent`]).
     ///
     /// # Panics
     ///
     /// Panics if the message kind is not allowed on the chosen wire class
     /// or the network has no lanes of that class.
-    pub fn send(&mut self, transfer: Transfer, cycle: u64) -> TransferId {
+    pub fn send(&mut self, transfer: Transfer, cycle: u64) -> Sent {
         self.send_probed(transfer, cycle, &mut NullProbe)
     }
 
     /// [`Network::send`] with telemetry: emits [`Probe::enqueue`]. With
     /// [`NullProbe`] this monomorphizes to exactly `send`.
     #[inline(never)]
-    pub fn send_probed<P: Probe>(
-        &mut self,
-        transfer: Transfer,
-        cycle: u64,
-        probe: &mut P,
-    ) -> TransferId {
+    pub fn send_probed<P: Probe>(&mut self, transfer: Transfer, cycle: u64, probe: &mut P) -> Sent {
         assert!(
             transfer.kind.allowed_on(transfer.class),
             "{:?} cannot ride {} wires",
@@ -561,49 +582,41 @@ impl<F: FaultModel> Network<F> {
         self.next_id += 1;
         self.stats.transfers[ci] += 1;
         let route = *route;
-        let slot = self.alloc_slot(transfer);
-        self.arb[slot] = ArbSlot {
+        let arb = ArbSlot {
             enqueued: cycle,
             links: route.links,
             nlinks: route.nlinks,
             ci: ci as u8,
         };
-        self.dep[slot] = DepSlot {
+        let dep = DepSlot {
             transfer,
             latency,
             hops: route.hops,
             id: id.0,
             attempt: 0,
+            deliver_at: 0,
+            dseq: 0,
             first_deliver: 0,
+        };
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.arb[s as usize] = arb;
+                self.dep[s as usize] = dep;
+                s as usize
+            }
+            None => {
+                self.arb.push(arb);
+                self.dep.push(dep);
+                self.arb.len() - 1
+            }
         };
         self.enqueue_for_arbitration(route.links[0] as usize * 4 + ci, slot);
         if P::ENABLED {
             probe.enqueue(cycle, id.0, transfer.class);
         }
-        id
-    }
-
-    /// Pops or grows a slab slot (the caller overwrites both halves).
-    fn alloc_slot(&mut self, transfer: Transfer) -> usize {
-        match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.arb.push(ArbSlot {
-                    enqueued: 0,
-                    links: [0; MAX_ROUTE_LINKS],
-                    nlinks: 0,
-                    ci: 0,
-                });
-                self.dep.push(DepSlot {
-                    transfer,
-                    latency: 0,
-                    hops: 0,
-                    id: 0,
-                    attempt: 0,
-                    first_deliver: 0,
-                });
-                self.arb.len() - 1
-            }
+        Sent {
+            id,
+            slot: slot as u32,
         }
     }
 
@@ -632,13 +645,12 @@ impl<F: FaultModel> Network<F> {
     }
 
     /// Departure bookkeeping shared by the arbitration paths: stats,
-    /// probe events, wheel scheduling and slab reclamation. Lane usage
-    /// and queue removal stay with the caller — the single-transfer fast
-    /// path never touches either.
+    /// probe events and wheel scheduling. The transfer keeps its slot
+    /// while in flight. Lane usage and queue removal stay with the
+    /// caller — the single-transfer fast path never touches either.
     #[inline]
     fn grant<P: Probe>(&mut self, cycle: u64, slot: usize, a: ArbSlot, probe: &mut P) {
-        let d = self.dep[slot];
-        let id = d.id;
+        let d = &mut self.dep[slot];
         let ci = a.ci as usize;
         self.stats.queue_cycles += cycle - a.enqueued - 1;
         let bits = d.transfer.kind.bits() as u64 * d.hops as u64;
@@ -649,32 +661,20 @@ impl<F: FaultModel> Network<F> {
         }
         self.stats.dynamic_energy += bits as f64 * unit;
         if P::ENABLED {
-            probe.depart(cycle, id, d.transfer.class, cycle - a.enqueued - 1);
+            probe.depart(cycle, d.id, d.transfer.class, cycle - a.enqueued - 1);
             for &l in &a.links[..a.nlinks as usize] {
                 probe.link_busy(cycle, l as usize, d.transfer.class);
             }
         }
-        let deliver_at = cycle + d.latency;
-        self.wheel.schedule(
-            cycle,
-            WheelEntry {
-                deliver_at,
-                dseq: self.dseq,
-                id,
-                transfer: d.transfer,
-                hops: d.hops,
-                attempt: d.attempt,
-                // The first departure pins the baseline delivery cycle the
-                // retry-delay metric is measured against.
-                first_deliver: if d.attempt == 0 {
-                    deliver_at
-                } else {
-                    d.first_deliver
-                },
-            },
-        );
+        d.deliver_at = cycle + d.latency;
+        d.dseq = self.dseq;
+        if d.attempt == 0 {
+            // The first departure pins the baseline delivery cycle the
+            // retry-delay metric is measured against.
+            d.first_deliver = d.deliver_at;
+        }
+        self.wheel.schedule(cycle, slot as u32, d.deliver_at);
         self.dseq += 1;
-        self.free.push(slot as u32);
         self.pending_count -= 1;
     }
 
@@ -809,8 +809,9 @@ impl<F: FaultModel> Network<F> {
 
     /// Removes all transfers delivered at or before `cycle` into `out`
     /// (cleared first, then sorted by id) without allocating in steady
-    /// state. O(1) when nothing is due.
-    pub fn take_delivered_into(&mut self, cycle: u64, out: &mut Vec<(TransferId, Transfer)>) {
+    /// state. First frees the slots of the previous call's deliveries;
+    /// this call's stay held until the next one. O(1) when nothing is due.
+    pub fn take_delivered_into(&mut self, cycle: u64, out: &mut Vec<Delivery>) {
         self.take_delivered_into_probed(cycle, out, &mut NullProbe)
     }
 
@@ -821,15 +822,20 @@ impl<F: FaultModel> Network<F> {
     pub fn take_delivered_into_probed<P: Probe>(
         &mut self,
         cycle: u64,
-        out: &mut Vec<(TransferId, Transfer)>,
+        out: &mut Vec<Delivery>,
         probe: &mut P,
     ) {
         out.clear();
+        // The caller has read the previous batch, so its slots are free
+        // now. Freeing them inside that drain would be too early: the
+        // caller sends while it walks a batch, and such a send must not
+        // get the slot of a delivery not yet read.
+        self.free.extend_from_slice(&self.drained);
+        self.drained.clear();
         if self.wheel.next_due().is_none_or(|d| d > cycle) {
             return;
         }
-        self.drained.clear();
-        self.wheel.drain_due(cycle, &mut self.drained);
+        self.wheel.drain_due(cycle, &self.dep, &mut self.drained);
         if P::ENABLED || F::ENABLED {
             // The reference engine processes deliveries in departure
             // order; restore it so probe event sequences match
@@ -837,34 +843,47 @@ impl<F: FaultModel> Network<F> {
             // transfers re-enter arbitration in the same order (requeue
             // order decides their `aseq` and therefore future
             // arbitration priority).
-            self.drained.sort_unstable_by_key(|e| e.dseq);
+            let dep = &self.dep;
+            self.drained
+                .sort_unstable_by_key(|&slot| dep[slot as usize].dseq);
         }
+        // Compact `drained` down to the clean deliveries, whose slots the
+        // next call frees; a corrupted transfer keeps its slot.
+        let mut delivered = 0;
         for i in 0..self.drained.len() {
-            let e = self.drained[i];
+            let slot = self.drained[i];
+            let d = self.dep[slot as usize];
             if F::ENABLED
                 && self.faults.corrupts(
-                    e.id,
-                    e.attempt,
-                    e.transfer.class,
-                    e.transfer.kind.bits(),
-                    e.hops,
+                    d.id,
+                    d.attempt,
+                    d.transfer.class,
+                    d.transfer.kind.bits(),
+                    d.hops,
                 )
             {
-                self.requeue(e, probe);
+                self.requeue(slot as usize, probe);
                 continue;
             }
             self.stats.delivered += 1;
-            if F::ENABLED && e.attempt > 0 {
-                self.stats.retry_cycles += e.deliver_at - e.first_deliver;
+            if F::ENABLED && d.attempt > 0 {
+                self.stats.retry_cycles += d.deliver_at - d.first_deliver;
             }
             if P::ENABLED {
                 // `deliver_at`, not `cycle`: the kernel may have skipped
                 // idle cycles past the actual delivery time.
-                probe.deliver(e.deliver_at, e.id, e.transfer.class);
+                probe.deliver(d.deliver_at, d.id, d.transfer.class);
             }
-            out.push((TransferId(e.id), e.transfer));
+            out.push(Delivery {
+                id: TransferId(d.id),
+                slot,
+                transfer: d.transfer,
+            });
+            self.drained[delivered] = slot;
+            delivered += 1;
         }
-        out.sort_unstable_by_key(|(id, _)| *id);
+        self.drained.truncate(delivered);
+        out.sort_unstable_by_key(|d| d.id);
     }
 
     /// NACK + retransmission (cold: only compiled in with `F::ENABLED`,
@@ -873,12 +892,13 @@ impl<F: FaultModel> Network<F> {
     /// the failed attempt's class, and the transfer re-enters arbitration
     /// when it arrives. After the model's retry limit the retry escalates
     /// to the B plane (wider swing, better noise margin) when one exists
-    /// and the message may ride it. The external id is preserved — the
-    /// processor's per-transfer action table is keyed by it — while queue
-    /// ordering uses a fresh `aseq`, keeping the FIFO-per-queue invariant
-    /// intact.
+    /// and the message may ride it. The retry re-enters arbitration in
+    /// its own slot, so it allocates nothing and keeps the id and slot a
+    /// caller may have keyed state by; queue ordering uses a fresh
+    /// `aseq`, keeping the FIFO-per-queue invariant intact.
     #[inline(never)]
-    fn requeue<P: Probe>(&mut self, e: WheelEntry, probe: &mut P) {
+    fn requeue<P: Probe>(&mut self, slot: usize, probe: &mut P) {
+        let e = self.dep[slot];
         let clusters = self.config.topology.clusters();
         let nodes = clusters + 1;
         let si = node_index(e.transfer.src, clusters);
@@ -906,7 +926,6 @@ impl<F: FaultModel> Network<F> {
         let latency =
             (route.base_latency + transfer.kind.serialization_cycles(transfer.class)).max(1);
         let enqueued = e.deliver_at + nack;
-        let slot = self.alloc_slot(transfer);
         self.arb[slot] = ArbSlot {
             enqueued,
             links: route.links,
@@ -917,9 +936,8 @@ impl<F: FaultModel> Network<F> {
             transfer,
             latency,
             hops: route.hops,
-            id: e.id,
             attempt,
-            first_deliver: e.first_deliver,
+            ..e
         };
         self.enqueue_for_arbitration(route.links[0] as usize * 4 + ci, slot);
         self.stats.retransmits += 1;
@@ -954,7 +972,7 @@ impl<F: FaultModel> Network<F> {
     /// regress through it; everything else reuses a buffer via
     /// [`Network::take_delivered_into`].
     #[cfg(test)]
-    pub(crate) fn take_delivered(&mut self, cycle: u64) -> Vec<(TransferId, Transfer)> {
+    pub(crate) fn take_delivered(&mut self, cycle: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
         self.take_delivered_into(cycle, &mut out);
         out
@@ -1164,8 +1182,8 @@ mod tests {
         assert_eq!(n.stats().queue_cycles, 1, "only the blocked one waited");
         // The bypasser departed at cycle 1 (delivered 3), the blocked
         // transfer at cycle 2 (delivered 4).
-        assert!(d.iter().any(|&(id, _)| id == bypass));
-        assert!(d.iter().any(|&(id, _)| id == blocked));
+        assert!(d.iter().any(|d| d.id == bypass.id));
+        assert!(d.iter().any(|d| d.id == blocked.id));
     }
 
     #[test]
@@ -1197,7 +1215,28 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(n.inflight_len(), 0);
         // Ids come back sorted.
-        assert!(d.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(d.windows(2).all(|w| w[0].id < w[1].id));
+    }
+
+    #[test]
+    fn slot_is_held_from_send_until_the_drain_after_delivery() {
+        let mut n = net();
+        let a = n.send(reg_transfer(0, 1, WireClass::L), 0);
+        n.tick(1); // a departs, due at 2
+        let b = n.send(reg_transfer(2, 3, WireClass::L), 1);
+        assert_ne!(b.slot, a.slot, "a is in flight");
+        n.tick(2); // b departs, due at 3
+        let d = n.take_delivered(2);
+        assert_eq!((d.len(), d[0].id, d[0].slot), (1, a.id, a.slot));
+        // A send while the batch is walked must not reuse a's slot.
+        let c = n.send(reg_transfer(0, 2, WireClass::B), 2);
+        assert!(c.slot != a.slot && c.slot != b.slot);
+        // The next drain releases it, and the slab does not grow.
+        let d = n.take_delivered(3);
+        assert_eq!((d.len(), d[0].slot), (1, b.slot));
+        let e = n.send(reg_transfer(1, 0, WireClass::L), 3);
+        assert_eq!(e.slot, a.slot);
+        assert_eq!(n.arb.len(), 3);
     }
 
     #[test]
@@ -1314,7 +1353,7 @@ mod tests {
         //   (attempt 1 >= retry limit 1) -> depart @4 -> deliver @6.
         let faults = FaultSpec::parse("faults:l@1+retry:1").unwrap().injector();
         let mut n = Network::with_faults(NetConfig::new(Topology::crossbar4(), b_l_link()), faults);
-        let id = n.send(reg_transfer(0, 1, WireClass::L), 0);
+        let sent = n.send(reg_transfer(0, 1, WireClass::L), 0);
         n.tick(1);
         assert!(n.take_delivered(2).is_empty(), "first copy arrives corrupt");
         assert_eq!(n.stats().faults_detected, 1);
@@ -1326,9 +1365,10 @@ mod tests {
         n.tick(4);
         let d = n.take_delivered(6);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].0, id, "the retried copy keeps its transfer id");
+        assert_eq!(d[0].id, sent.id, "the retried copy keeps its transfer id");
+        assert_eq!(d[0].slot, sent.slot, "and its slot");
         assert_eq!(
-            d[0].1.class,
+            d[0].transfer.class,
             WireClass::B,
             "delivered on the escalated plane"
         );
@@ -1397,7 +1437,7 @@ mod tests {
         let first = n.send(reg_transfer(0, 1, WireClass::B), 3);
         n.send(reg_transfer(2, 3, WireClass::B), 5);
         let (id, class, enqueued, attempt) = n.oldest_pending().unwrap();
-        assert_eq!(id, first);
+        assert_eq!(id, first.id);
         assert_eq!(class, WireClass::B);
         assert_eq!(enqueued, 3);
         assert_eq!(attempt, 0);

@@ -4,10 +4,14 @@
 //! same [`NetStats`] (including the f64 energy accumulator, so grant order
 //! matters), same delivery sets in the same order, same probe event
 //! sequences at the same cycles, and same next-event answers every cycle.
+//! Along the way a [`SlotLedger`] holds the indexed engine's slots to
+//! their lifetime: from send to the drain after the clean delivery.
+
+use std::collections::{HashMap, HashSet};
 
 use heterowire_interconnect::{
-    FaultSpec, MessageKind, NetConfig, NetStats, Network, Node, ReferenceNetwork, Topology,
-    TopologySpec, Transfer, TransferId,
+    Delivery, FaultSpec, MessageKind, NetConfig, NetStats, Network, Node, ReferenceNetwork, Sent,
+    Topology, TopologySpec, Transfer, TransferId,
 };
 use heterowire_rng::SmallRng;
 use heterowire_telemetry::Probe;
@@ -55,6 +59,62 @@ impl Probe for RecProbe {
         self.events
             .push(Event::Retransmit(cycle, id, class, attempt));
     }
+}
+
+/// The indexed engine's slot handout, checked against the lifetime rule:
+/// a transfer holds its slot from `send` until its clean delivery, keeps
+/// it across retransmissions, and the slot is free again only once the
+/// next drain begins.
+#[derive(Debug, Default)]
+struct SlotLedger {
+    /// Id holding each live slot: queued, in flight or retrying.
+    live: HashMap<u32, TransferId>,
+    /// Slots delivered by the latest drain, not yet free.
+    just_delivered: HashSet<u32>,
+}
+
+impl SlotLedger {
+    fn sent(&mut self, sent: Sent) {
+        assert!(
+            !self.just_delivered.contains(&sent.slot),
+            "{:?} got slot {}, delivered in the latest drain",
+            sent.id,
+            sent.slot
+        );
+        if let Some(holder) = self.live.insert(sent.slot, sent.id) {
+            panic!(
+                "{:?} got slot {}, still held by {holder:?}",
+                sent.id, sent.slot
+            );
+        }
+    }
+
+    fn drained(&mut self, out: &[Delivery]) {
+        self.just_delivered.clear();
+        for d in out {
+            assert_eq!(
+                self.live.remove(&d.slot),
+                Some(d.id),
+                "{:?} delivered in slot {}, not the one its send got",
+                d.id,
+                d.slot
+            );
+            self.just_delivered.insert(d.slot);
+        }
+    }
+
+    fn assert_drained(&self) {
+        assert!(
+            self.live.is_empty(),
+            "{} slots live after the final drain",
+            self.live.len()
+        );
+    }
+}
+
+/// The part of each delivery the reference engine also reports.
+fn ids_and_transfers(out: &[Delivery]) -> Vec<(TransferId, Transfer)> {
+    out.iter().map(|d| (d.id, d.transfer)).collect()
 }
 
 fn full_link() -> LinkComposition {
@@ -143,8 +203,9 @@ fn differential_run_with<F: heterowire_interconnect::FaultModel + Clone>(
     let mut old_net = ReferenceNetwork::with_faults(NetConfig::new(topology, full_link()), faults);
     let mut new_probe = RecProbe::default();
     let mut old_probe = RecProbe::default();
-    let mut new_out: Vec<(TransferId, Transfer)> = Vec::new();
-    let mut old_out: Vec<(TransferId, Transfer)> = Vec::new();
+    let mut new_out = Vec::new();
+    let mut old_out = Vec::new();
+    let mut slots = SlotLedger::default();
     let mut rng = SmallRng::seed_from_u64(seed);
 
     for cycle in 0..cycles {
@@ -160,9 +221,10 @@ fn differential_run_with<F: heterowire_interconnect::FaultModel + Clone>(
         for _ in 0..burst {
             let hot = hot_phase && rng.gen_bool(0.7);
             let t = random_transfer(&mut rng, clusters, hot);
-            let id_new = new_net.send_probed(t, cycle, &mut new_probe);
+            let sent = new_net.send_probed(t, cycle, &mut new_probe);
             let id_old = old_net.send_probed(t, cycle, &mut old_probe);
-            assert_eq!(id_new, id_old, "ids must be assigned identically");
+            assert_eq!(sent.id, id_old, "ids must be assigned identically");
+            slots.sent(sent);
         }
         new_net.tick_probed(cycle + 1, &mut new_probe);
         old_net.tick_probed(cycle + 1, &mut old_probe);
@@ -171,7 +233,12 @@ fn differential_run_with<F: heterowire_interconnect::FaultModel + Clone>(
         if rng.gen_bool(0.6) {
             new_net.take_delivered_into_probed(cycle + 1, &mut new_out, &mut new_probe);
             old_net.take_delivered_into_probed(cycle + 1, &mut old_out, &mut old_probe);
-            assert_eq!(new_out, old_out, "delivery sets diverged at {cycle}");
+            assert_eq!(
+                ids_and_transfers(&new_out),
+                old_out,
+                "delivery sets diverged at {cycle}"
+            );
+            slots.drained(&new_out);
         }
         assert_eq!(
             new_net.next_event_cycle(cycle + 1),
@@ -181,10 +248,30 @@ fn differential_run_with<F: heterowire_interconnect::FaultModel + Clone>(
         assert_eq!(new_net.pending_len(), old_net.pending_len());
         assert_eq!(new_net.inflight_len(), old_net.inflight_len());
     }
-    // Final drain far in the future empties both engines.
-    new_net.take_delivered_into_probed(cycles + 10_000, &mut new_out, &mut new_probe);
-    old_net.take_delivered_into_probed(cycles + 10_000, &mut old_out, &mut old_probe);
-    assert_eq!(new_out, old_out);
+    // Run both engines dry in rounds: tick until the backlog has departed,
+    // then drain once far past the wheel's horizon, so the drain's span
+    // wraps every bucket and, with faults on, corrupted copies re-queue
+    // inside that batch. Re-queued copies take another round.
+    let mut cycle = cycles;
+    while new_net.inflight_len() > 0 {
+        while new_net.pending_len() > 0 {
+            cycle += 1;
+            new_net.tick_probed(cycle, &mut new_probe);
+            old_net.tick_probed(cycle, &mut old_probe);
+            assert_eq!(new_net.pending_len(), old_net.pending_len());
+        }
+        cycle += 10_000;
+        new_net.take_delivered_into_probed(cycle, &mut new_out, &mut new_probe);
+        old_net.take_delivered_into_probed(cycle, &mut old_out, &mut old_probe);
+        assert_eq!(
+            ids_and_transfers(&new_out),
+            old_out,
+            "delivery sets diverged in the drain at {cycle}"
+        );
+        slots.drained(&new_out);
+        assert_eq!(new_net.inflight_len(), old_net.inflight_len());
+    }
+    slots.assert_drained();
 
     assert_eq!(new_probe.events.len(), old_probe.events.len());
     for (i, (a, b)) in new_probe
@@ -303,17 +390,23 @@ fn transmission_line_and_scaled_latency_differential() {
             let clusters = topology.clusters();
             let mut new_out = Vec::new();
             let mut old_out = Vec::new();
+            let mut slots = SlotLedger::default();
             for cycle in 0..400 {
                 for _ in 0..rng.gen_range(0..3usize) {
                     let t = random_transfer(&mut rng, clusters, false);
-                    new_net.send(t, cycle);
+                    slots.sent(new_net.send(t, cycle));
                     old_net.send(t, cycle);
                 }
                 new_net.tick(cycle + 1);
                 old_net.tick(cycle + 1);
                 new_net.take_delivered_into(cycle + 1, &mut new_out);
                 old_net.take_delivered_into(cycle + 1, &mut old_out);
-                assert_eq!(new_out, old_out, "scale={scale} tl={tl}");
+                assert_eq!(
+                    ids_and_transfers(&new_out),
+                    old_out,
+                    "scale={scale} tl={tl}"
+                );
+                slots.drained(&new_out);
             }
             assert_eq!(new_net.stats(), old_net.stats());
         }
@@ -329,6 +422,7 @@ fn starvation_pressure_holds_oldest_first_order() {
         let mut old_net = ReferenceNetwork::new(NetConfig::new(topology, full_link()));
         let mut new_out = Vec::new();
         let mut old_out = Vec::new();
+        let mut slots = SlotLedger::default();
         let mut rng = SmallRng::seed_from_u64(77);
         for cycle in 0..600 {
             // Three same-route B transfers per cycle into two B lanes:
@@ -340,7 +434,7 @@ fn starvation_pressure_holds_oldest_first_order() {
                     class: WireClass::B,
                     kind: MessageKind::RegisterValue,
                 };
-                new_net.send(t, cycle);
+                slots.sent(new_net.send(t, cycle));
                 old_net.send(t, cycle);
             }
             if rng.gen_bool(0.5) {
@@ -350,14 +444,19 @@ fn starvation_pressure_holds_oldest_first_order() {
                     class: WireClass::L,
                     kind: MessageKind::NarrowValue,
                 };
-                new_net.send(t, cycle);
+                slots.sent(new_net.send(t, cycle));
                 old_net.send(t, cycle);
             }
             new_net.tick(cycle + 1);
             old_net.tick(cycle + 1);
             new_net.take_delivered_into(cycle + 1, &mut new_out);
             old_net.take_delivered_into(cycle + 1, &mut old_out);
-            assert_eq!(new_out, old_out, "diverged at cycle {cycle}");
+            assert_eq!(
+                ids_and_transfers(&new_out),
+                old_out,
+                "diverged at cycle {cycle}"
+            );
+            slots.drained(&new_out);
             assert_eq!(new_net.pending_len(), old_net.pending_len());
         }
         assert_eq!(new_net.stats(), old_net.stats());

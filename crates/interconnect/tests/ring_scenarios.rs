@@ -2,13 +2,13 @@
 //! contention, direction choice and cache placement (paper Figure 2(b)).
 
 use heterowire_interconnect::{
-    MessageKind, NetConfig, Network, Node, Topology, Transfer, TransferId,
+    Delivery, MessageKind, NetConfig, Network, Node, Topology, Transfer,
 };
 use heterowire_wires::{LinkComposition, WireClass, WirePlane};
 
 /// Test-local stand-in for the removed allocating `take_delivered`
 /// convenience (production code reuses a buffer via `take_delivered_into`).
-fn take_delivered(net: &mut Network, cycle: u64) -> Vec<(TransferId, Transfer)> {
+fn take_delivered(net: &mut Network, cycle: u64) -> Vec<Delivery> {
     let mut out = Vec::new();
     net.take_delivered_into(cycle, &mut out);
     out

@@ -62,6 +62,9 @@ pub struct TraceGenerator {
     streams: Vec<u64>,
     next_stream: usize,
     cold_ptr: u64,
+    /// `ln(1 - p)` for the geometric dependence distance with success
+    /// probability `p = 1 / dep_distance_mean`, fixed per profile.
+    ln_dep_fail: f64,
 }
 
 impl TraceGenerator {
@@ -91,7 +94,9 @@ impl TraceGenerator {
                 0x4000_0000 + i * (profile.cold_working_set / NUM_STREAMS as u64) + i * (4096 + 64)
             })
             .collect();
+        let p = (1.0 / profile.dep_distance_mean).clamp(1e-6, 1.0);
         TraceGenerator {
+            ln_dep_fail: (1.0 - p).ln(),
             profile,
             rng,
             seq: 0,
@@ -150,10 +155,8 @@ impl TraceGenerator {
         if recent.is_empty() {
             return None;
         }
-        let mean = self.profile.dep_distance_mean;
-        let p = (1.0 / mean).clamp(1e-6, 1.0);
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let dist = 1 + ((1.0 - u).ln() / (1.0 - p).ln()) as usize;
+        let dist = 1 + ((1.0 - u).ln() / self.ln_dep_fail) as usize;
         let idx = dist.min(recent.len()) - 1;
         // Index from the most recent end.
         Some(recent[recent.len() - 1 - idx])

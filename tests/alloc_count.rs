@@ -5,10 +5,12 @@
 //! per-cycle machinery (dispatch, issue, steering, network send/deliver)
 //! must allocate nothing. The value records live in a pool reserved at
 //! construction and recycled like physical registers, so they do not
-//! grow with the window at all. What growth remains is first-touch and
+//! grow with the window at all. Nor do the network's transfer slots and
+//! the delivery actions keyed by them: a slot is reused once its
+//! transfer is delivered. What growth remains is first-touch and
 //! high-water growth that saturates: BTB and cache sets allocate their
-//! ways the first time the trace touches them, per-queue buffers grow to
-//! their deepest occupancy, and the per-transfer action table doubles.
+//! ways the first time the trace touches them, and per-queue buffers,
+//! the slot slab and the action table grow to their deepest occupancy.
 //! The delta between the two runs must therefore stay far below one
 //! allocation per extra instruction.
 //!
@@ -77,8 +79,8 @@ fn simulator_steady_state_is_allocation_free() {
         let delta = large.saturating_sub(small);
         // 12 000 extra instructions. Before the de-allocation pass the
         // simulator allocated several Vecs per instruction (>36 000 here);
-        // now only first-touch and high-water growth remain: measured 217
-        // on crossbar4 and 311 on hier16, most of it BTB and cache sets.
+        // now only first-touch and high-water growth remain: measured 219
+        // on crossbar4 and 315 on hier16, most of it BTB and cache sets.
         assert!(
             delta < 400,
             "hot path allocates on {topology:?}: {delta} extra allocations \
@@ -94,7 +96,7 @@ fn simulator_steady_state_is_allocation_free() {
         let small = allocs_for(topology, 4_000);
         let large = allocs_for(topology, 16_000);
         let delta = large.saturating_sub(small);
-        // Measured 312 on xbar:32 and 335 on ring:16x4 (a boxed-slice
+        // Measured 315 on xbar:32 and 339 on ring:16x4 (a boxed-slice
         // spill design cost ~28 000 here — three allocations per value).
         assert!(
             delta < 400,
