@@ -49,7 +49,7 @@ use heterowire_wires::{LinkComposition, WireClass};
 
 use crate::fault::{FaultModel, NullFaultModel};
 use crate::message::{MessageKind, Transfer};
-use crate::topology::{LinkId, Node, Topology, MAX_ROUTE_LINKS};
+use crate::topology::{LinkId, Node, Topology, MAX_RING_QUADS, MAX_ROUTE_LINKS, MAX_SIM_CLUSTERS};
 
 /// Identifier of an in-flight or delivered transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -161,24 +161,131 @@ pub(crate) fn class_index(class: WireClass) -> usize {
         .expect("class is one of the four")
 }
 
-/// A route resolved once at construction: link slots, energy hops and the
-/// latency-scaled base delivery latency (before per-message serialization
-/// cycles), cached per (source node, destination node, wire class) so the
-/// send hot path is a table lookup instead of a ring walk.
+/// The class-independent half of a route, resolved once per (source node,
+/// destination node): the source's injection link, the ring path between
+/// the two nodes' quads and the destination's delivery link, as link
+/// slots. `segments` counts the ring links and, with the wire class,
+/// selects the route's [`RouteCost`].
 #[derive(Debug, Clone, Copy)]
-struct CachedRoute {
+struct NodeRoute {
     links: [u16; MAX_ROUTE_LINKS],
     nlinks: u8,
-    hops: u32,
-    base_latency: u64,
+    segments: u8,
 }
 
-const EMPTY_ROUTE: CachedRoute = CachedRoute {
-    links: [0; MAX_ROUTE_LINKS],
-    nlinks: 0,
-    hops: 0,
-    base_latency: 0,
-};
+/// The class-dependent half of a route, resolved once per (wire class,
+/// ring-segment count): the latency-scaled base delivery latency (before
+/// per-message serialization cycles) and the energy hops.
+#[derive(Debug, Clone, Copy, Default)]
+struct RouteCost {
+    base_latency: u64,
+    hops: u32,
+}
+
+/// Per-class [`RouteCost`]s indexed by ring-segment count. A route holds
+/// more links than ring segments, so `MAX_ROUTE_LINKS` entries cover
+/// every count; a count no route has stays zero.
+type CostTable = [[RouteCost; MAX_ROUTE_LINKS]; 4];
+
+/// Resolves the network's route tables from `Topology::route_inline`,
+/// called only on one representative node pair per (source quad,
+/// destination quad), never once per node pair:
+///
+/// * the ring path of each quad pair, as link slots (a construction-local
+///   table: the node-pair lists below copy it);
+/// * the scaled [`RouteCost`] of each (class, segment count), from the
+///   first representative route with that many segments;
+/// * each (source node, destination node)'s [`NodeRoute`], assembled from
+///   the two endpoint links (`Topology::link_slot`) and the quad pair's
+///   ring path, indexed `src * nodes + dst` with the cache as the last
+///   node.
+///
+/// The construction-local tables live on the stack (the capacity checks
+/// bound them), so building allocates only the node-pair table.
+fn route_tables(config: &NetConfig) -> (Vec<NodeRoute>, CostTable) {
+    let topo = &config.topology;
+    let clusters = topo.clusters();
+    let quads = topo.quads();
+    let slot = |l| topo.link_slot(l) as u16;
+    // Every node with its quad and its injection and delivery link slots,
+    // in node-index order.
+    let mut ends = [(Node::Cache, Topology::CACHE_QUAD, 0, 0); MAX_SIM_CLUSTERS + 1];
+    for (c, end) in ends[..clusters].iter_mut().enumerate() {
+        let (out, inn) = (LinkId::ClusterOut(c), LinkId::ClusterIn(c));
+        *end = (Node::Cluster(c), topo.quad_of(c), slot(out), slot(inn));
+    }
+    ends[clusters] = (
+        Node::Cache,
+        Topology::CACHE_QUAD,
+        slot(LinkId::CacheOut),
+        slot(LinkId::CacheIn),
+    );
+    let ends = &ends[..=clusters];
+    let mut quad_paths = [None; MAX_RING_QUADS * MAX_RING_QUADS];
+    let mut costs = CostTable::default();
+    let mut costed = [false; MAX_ROUTE_LINKS];
+    let mut routes = Vec::with_capacity(ends.len() * ends.len());
+    for &(src, src_quad, out, _) in ends {
+        for &(dst, dst_quad, _, inn) in ends {
+            if src == dst {
+                // Never read: `send` refuses self-transfers.
+                routes.push(NodeRoute {
+                    links: [0; MAX_ROUTE_LINKS],
+                    nlinks: 0,
+                    segments: 0,
+                });
+                continue;
+            }
+            let (path, segments) = *quad_paths[src_quad * quads + dst_quad]
+                .get_or_insert_with(|| ring_path(topo, src, dst));
+            if !costed[segments] {
+                costed[segments] = true;
+                for (ci, &class) in WireClass::ALL.iter().enumerate() {
+                    costs[ci][segments] = route_cost(config, src, dst, class);
+                }
+            }
+            let mut links = [0u16; MAX_ROUTE_LINKS];
+            links[0] = out;
+            links[1..=segments].copy_from_slice(&path[..segments]);
+            links[segments + 1] = inn;
+            routes.push(NodeRoute {
+                links,
+                nlinks: (segments + 2) as u8,
+                segments: segments as u8,
+            });
+        }
+    }
+    (routes, costs)
+}
+
+/// The ring links of the route from `src` to `dst`, as link slots, and
+/// their count. Every node pair between the same two quads shares them.
+fn ring_path(topo: &Topology, src: Node, dst: Node) -> ([u16; MAX_ROUTE_LINKS], usize) {
+    let mut path = [0u16; MAX_ROUTE_LINKS];
+    let mut segments = 0;
+    for &l in topo.route_inline(src, dst, WireClass::B).links() {
+        if let LinkId::Ring { .. } = l {
+            path[segments] = topo.link_slot(l) as u16;
+            segments += 1;
+        }
+    }
+    (path, segments)
+}
+
+/// The scaled cost of the route from `src` to `dst` on `class`. Every
+/// route with as many ring segments costs the same.
+fn route_cost(config: &NetConfig, src: Node, dst: Node, class: WireClass) -> RouteCost {
+    let r = config.topology.route_inline(src, dst, class);
+    let scale = if config.transmission_line_l && class == WireClass::L {
+        1.0
+    } else {
+        config.latency_scale
+    };
+    RouteCost {
+        base_latency: ((r.latency as f64) * scale).round() as u64,
+        hops: r.hops,
+    }
+}
 
 /// Slab entry holding only the fields the per-tick arbitration loop reads
 /// (SoA split: the departure-only fields live in [`DepSlot`]; the id rides
@@ -334,8 +441,12 @@ pub struct Network<F: FaultModel = NullFaultModel> {
     caps: Vec<[u32; 4]>,
     /// Lanes used in the current cycle per link per class.
     used: Vec<[u32; 4]>,
-    /// Routes cached per (src node, dst node, class); see [`CachedRoute`].
-    routes: Vec<CachedRoute>,
+    /// Link list per (src node, dst node), indexed `src * nodes + dst`
+    /// with the cache as the last node; shared by all four classes.
+    routes: Vec<NodeRoute>,
+    /// Scaled base latency and energy hops per (class, ring-segment
+    /// count). A send reads one `routes` entry and one `costs` entry.
+    costs: CostTable,
     /// Arbitration-read slab half, parallel to `dep` (SoA split).
     arb: Vec<ArbSlot>,
     /// Departure-read slab half, parallel to `arb`.
@@ -384,14 +495,6 @@ pub struct Network<F: FaultModel = NullFaultModel> {
     /// Fault injection (zero-sized and check-free for the default
     /// [`NullFaultModel`]).
     faults: F,
-}
-
-fn node_of(index: usize, clusters: usize) -> Node {
-    if index == clusters {
-        Node::Cache
-    } else {
-        Node::Cluster(index)
-    }
 }
 
 fn node_index(node: Node, clusters: usize) -> usize {
@@ -449,7 +552,7 @@ impl<F: FaultModel> Network<F> {
         }
         let used = vec![[0; 4]; link_ids.len()];
         // `Topology::link_slot` must agree with the enumeration order of
-        // `all_links` (the route table below stores slots, not LinkIds).
+        // `all_links` (the route tables store slots, not LinkIds).
         for (i, &id) in link_ids.iter().enumerate() {
             debug_assert_eq!(
                 config.topology.link_slot(id),
@@ -458,42 +561,16 @@ impl<F: FaultModel> Network<F> {
             );
         }
 
-        // Resolve every (src, dst, class) route once. The wheel horizon is
-        // the longest base latency plus the worst-case serialization tail.
-        let clusters = config.topology.clusters();
-        let nodes = clusters + 1;
-        let mut routes = vec![EMPTY_ROUTE; nodes * nodes * 4];
+        // The wheel horizon is the longest base latency plus the
+        // worst-case serialization tail. A segment count no route has
+        // costs zero, which cannot raise it.
+        let (routes, costs) = route_tables(&config);
         let max_serialization = MessageKind::SplitValue.serialization_cycles(WireClass::L);
-        let mut max_latency = 1u64;
-        for si in 0..nodes {
-            for di in 0..nodes {
-                if si == di {
-                    continue;
-                }
-                let src = node_of(si, clusters);
-                let dst = node_of(di, clusters);
-                for (ci, &class) in WireClass::ALL.iter().enumerate() {
-                    let r = config.topology.route_inline(src, dst, class);
-                    let scale = if config.transmission_line_l && class == WireClass::L {
-                        1.0
-                    } else {
-                        config.latency_scale
-                    };
-                    let base = ((r.latency as f64) * scale).round() as u64;
-                    let mut links = [0u16; MAX_ROUTE_LINKS];
-                    for (slot, &l) in links.iter_mut().zip(r.links()) {
-                        *slot = config.topology.link_slot(l) as u16;
-                    }
-                    routes[(si * nodes + di) * 4 + ci] = CachedRoute {
-                        links,
-                        nlinks: r.links().len() as u8,
-                        hops: r.hops,
-                        base_latency: base,
-                    };
-                    max_latency = max_latency.max(base.max(1) + max_serialization);
-                }
-            }
-        }
+        let max_latency = costs
+            .iter()
+            .flatten()
+            .map(|c| c.base_latency.max(1) + max_serialization)
+            .fold(1, u64::max);
 
         let leakage_weight = link_ids
             .iter()
@@ -509,6 +586,7 @@ impl<F: FaultModel> Network<F> {
             caps,
             used,
             routes,
+            costs,
             arb: Vec::new(),
             dep: Vec::new(),
             free: Vec::new(),
@@ -566,22 +644,17 @@ impl<F: FaultModel> Network<F> {
             transfer.src != transfer.dst,
             "no self-transfers on the network"
         );
-        let clusters = self.config.topology.clusters();
-        let nodes = clusters + 1;
-        let si = node_index(transfer.src, clusters);
-        let di = node_index(transfer.dst, clusters);
         let ci = class_index(transfer.class);
-        let route = &self.routes[(si * nodes + di) * 4 + ci];
+        let (route, cost) = self.route(transfer.src, transfer.dst, ci);
         // Chunked messages (a SplitValue on an L lane) trail their first
         // chunk by the serialization cycles; the flit count is a property
         // of the message/lane pair, so latency scaling (already baked into
-        // the cached base latency) does not apply to it.
+        // the base latency) does not apply to it.
         let latency =
-            (route.base_latency + transfer.kind.serialization_cycles(transfer.class)).max(1);
+            (cost.base_latency + transfer.kind.serialization_cycles(transfer.class)).max(1);
         let id = TransferId(self.next_id);
         self.next_id += 1;
         self.stats.transfers[ci] += 1;
-        let route = *route;
         let arb = ArbSlot {
             enqueued: cycle,
             links: route.links,
@@ -591,7 +664,7 @@ impl<F: FaultModel> Network<F> {
         let dep = DepSlot {
             transfer,
             latency,
-            hops: route.hops,
+            hops: cost.hops,
             id: id.0,
             attempt: 0,
             deliver_at: 0,
@@ -618,6 +691,20 @@ impl<F: FaultModel> Network<F> {
             id,
             slot: slot as u32,
         }
+    }
+
+    /// The route lookup `send` and `requeue` share: the link list from
+    /// `src` to `dst` and its cost on class `ci`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster index is out of range.
+    #[inline]
+    fn route(&self, src: Node, dst: Node, ci: usize) -> (NodeRoute, RouteCost) {
+        let clusters = self.config.topology.clusters();
+        let route =
+            self.routes[node_index(src, clusters) * (clusters + 1) + node_index(dst, clusters)];
+        (route, self.costs[ci][route.segments as usize])
     }
 
     /// Appends `slot` to arbitration queue `q` under a fresh `aseq` and
@@ -899,18 +986,16 @@ impl<F: FaultModel> Network<F> {
     #[inline(never)]
     fn requeue<P: Probe>(&mut self, slot: usize, probe: &mut P) {
         let e = self.dep[slot];
-        let clusters = self.config.topology.clusters();
-        let nodes = clusters + 1;
-        let si = node_index(e.transfer.src, clusters);
-        let di = node_index(e.transfer.dst, clusters);
-        let old_ci = class_index(e.transfer.class);
         self.stats.faults_detected += 1;
         if P::ENABLED {
             probe.fault_detected(e.deliver_at, e.id, e.transfer.class, e.attempt);
         }
-        let nack = self.routes[(di * nodes + si) * 4 + old_ci]
-            .base_latency
-            .max(1);
+        let (_, back) = self.route(
+            e.transfer.dst,
+            e.transfer.src,
+            class_index(e.transfer.class),
+        );
+        let nack = back.base_latency.max(1);
         let attempt = e.attempt + 1;
         let mut transfer = e.transfer;
         if attempt >= self.faults.retry_limit()
@@ -922,9 +1007,9 @@ impl<F: FaultModel> Network<F> {
             self.stats.escalations += 1;
         }
         let ci = class_index(transfer.class);
-        let route = self.routes[(si * nodes + di) * 4 + ci];
+        let (route, cost) = self.route(transfer.src, transfer.dst, ci);
         let latency =
-            (route.base_latency + transfer.kind.serialization_cycles(transfer.class)).max(1);
+            (cost.base_latency + transfer.kind.serialization_cycles(transfer.class)).max(1);
         let enqueued = e.deliver_at + nack;
         self.arb[slot] = ArbSlot {
             enqueued,
@@ -935,7 +1020,7 @@ impl<F: FaultModel> Network<F> {
         self.dep[slot] = DepSlot {
             transfer,
             latency,
-            hops: route.hops,
+            hops: cost.hops,
             attempt,
             ..e
         };
@@ -1428,6 +1513,80 @@ mod tests {
         assert_eq!(b, f);
         assert_eq!(f.faults_detected, 0);
         assert_eq!(f.retry_cycles, 0);
+    }
+
+    #[test]
+    fn every_resolved_route_equals_the_topologys() {
+        // Every (src, dst, class) `send` can accept, on flat and ring
+        // shapes, scaled and not, with and without transmission-line L:
+        // the link list, hops and scaled base latency `send` reads must
+        // be `route_inline`'s, and the wheel horizon the longest of them.
+        let link = LinkComposition::new(vec![
+            WirePlane::new(WireClass::W, 144),
+            WirePlane::new(WireClass::Pw, 144),
+            WirePlane::new(WireClass::B, 144),
+            WirePlane::new(WireClass::L, 36),
+        ])
+        .unwrap();
+        let max_serialization = MessageKind::SplitValue.serialization_cycles(WireClass::L);
+        for spec in [
+            "crossbar4",
+            "hier16",
+            "xbar:2",
+            "xbar:64",
+            "ring:5x2",
+            "ring:3x6@hop3",
+            "ring:16x4",
+        ] {
+            let topology = crate::topo::TopologySpec::parse(spec).unwrap().topology();
+            let nodes: Vec<Node> = (0..topology.clusters())
+                .map(Node::Cluster)
+                .chain([Node::Cache])
+                .collect();
+            for (latency_scale, transmission_line_l) in
+                [(1.0, false), (1.0, true), (2.0, false), (2.0, true)]
+            {
+                let cfg = NetConfig {
+                    latency_scale,
+                    transmission_line_l,
+                    ..NetConfig::new(topology, link.clone())
+                };
+                let n = Network::new(cfg);
+                let mut horizon = 1;
+                for &src in &nodes {
+                    for &dst in nodes.iter().filter(|&&d| d != src) {
+                        for (ci, &class) in WireClass::ALL.iter().enumerate() {
+                            let want = topology.route_inline(src, dst, class);
+                            let scale = if transmission_line_l && class == WireClass::L {
+                                1.0
+                            } else {
+                                latency_scale
+                            };
+                            let base = ((want.latency as f64) * scale).round() as u64;
+                            let slots: Vec<u16> = want
+                                .links()
+                                .iter()
+                                .map(|&l| topology.link_slot(l) as u16)
+                                .collect();
+                            let (route, cost) = n.route(src, dst, ci);
+                            let at = format!(
+                                "{spec} x{latency_scale} tl={transmission_line_l} \
+                                 {src:?}->{dst:?} {class}"
+                            );
+                            assert_eq!(&route.links[..route.nlinks as usize], &slots[..], "{at}");
+                            assert_eq!(cost.hops, want.hops, "{at}");
+                            assert_eq!(cost.base_latency, base, "{at}");
+                            horizon = horizon.max(base.max(1) + max_serialization);
+                        }
+                    }
+                }
+                assert_eq!(
+                    n.wheel.mask + 1,
+                    (horizon + 1).next_power_of_two().max(8),
+                    "{spec} wheel horizon"
+                );
+            }
+        }
     }
 
     #[test]

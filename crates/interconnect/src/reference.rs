@@ -317,8 +317,9 @@ impl<F: FaultModel> ReferenceNetwork<F> {
         out.sort_unstable_by_key(|(id, _)| *id);
     }
 
-    /// The latency-scaled route latency `Network` caches per (src, dst,
-    /// class), recomputed on demand (no route table here).
+    /// The latency-scaled route latency, recomputed from `route_inline`
+    /// on every call (no route table here). `Network` reads the same
+    /// value from its table per (class, ring-segment count).
     fn scaled_base_latency(
         &self,
         src: crate::topology::Node,

@@ -81,9 +81,6 @@ pub(super) fn parse_file_str(contents: &str) -> Result<TopologySpec, TopoSpecErr
             },
         }
     };
-    let seg_len = |key: &'static str| -> Result<Option<u32>, TopoSpecError> {
-        Ok(dim(key)?.map(|n| n as u32))
-    };
 
     let shape = get("shape").ok_or(TopoSpecError::MissingKey {
         shape: "any",
@@ -98,7 +95,8 @@ pub(super) fn parse_file_str(contents: &str) -> Result<TopologySpec, TopoSpecErr
             None => Ok(()),
         }
     };
-    let xbar_len = seg_len("xbar_len")?.unwrap_or(DEFAULT_XBAR_LEN);
+    // Segment lengths go to `build_*` unnarrowed, which range-checks them.
+    let xbar_len = dim("xbar_len")?.unwrap_or(DEFAULT_XBAR_LEN as usize);
     let topology = match shape.value {
         "xbar" => {
             reject("xbar", "quads")?;
@@ -120,7 +118,7 @@ pub(super) fn parse_file_str(contents: &str) -> Result<TopologySpec, TopoSpecErr
                 shape: "ring",
                 key: "per_quad",
             })?;
-            let hop_len = seg_len("hop_len")?.unwrap_or(DEFAULT_HOP_LEN);
+            let hop_len = dim("hop_len")?.unwrap_or(DEFAULT_HOP_LEN as usize);
             build_ring(quads, per_quad, xbar_len, hop_len)?
         }
         other => return Err(TopoSpecError::UnknownShape(other.to_string())),
@@ -156,6 +154,35 @@ mod tests {
         .unwrap();
         let by_compact = TopologySpec::parse("ring:6x2@hop3").unwrap();
         assert_eq!(by_file, by_compact);
+    }
+
+    #[test]
+    fn file_form_bounds_segment_lengths_like_the_compact_form() {
+        use TopoSpecError as E;
+        let ring = |hop: &str| format!("shape = ring\nquads = 4\nper_quad = 4\nhop_len = {hop}\n");
+        assert_eq!(
+            TopologySpec::parse_file(&ring("64")).unwrap(),
+            TopologySpec::parse("ring:4x4@hop64").unwrap()
+        );
+        for (text, key, token) in [
+            (ring("4000000000"), "hop", "hop4000000000"),
+            // Past u32: once truncated to a hop length of 2.
+            (ring("4294967298"), "hop", "hop4294967298"),
+            (
+                "shape = xbar\nclusters = 4\nxbar_len = 65\n".to_string(),
+                "xbar",
+                "xbar65",
+            ),
+        ] {
+            assert_eq!(
+                TopologySpec::parse_file(&text).unwrap_err(),
+                E::InvalidOverride {
+                    key,
+                    token: token.into()
+                },
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //!   comments allowed; see [`TopologySpec::parse_file`].
 //!
 //! All three converge on the same validation: shapes the route engine
-//! cannot hold (rings past 8 quads), degenerate counts (a 1-cluster
+//! cannot hold (rings past 16 quads), degenerate counts (a 1-cluster
 //! crossbar, a 2-quad ring whose directed segments would coincide) and
-//! malformed overrides are loud [`TopoSpecError`]s with pointed messages —
-//! the harness binaries surface them as exit status 2, mirroring
-//! `ModelSpec`. Route latencies of the generated topologies derive from
-//! the `wires` segment model ([`heterowire_wires::segment_latency`]), so
-//! a spec never states cycle counts, only geometry.
+//! malformed or overlong (past `MAX_SEGMENT_LEN`) segment lengths are
+//! loud [`TopoSpecError`]s with pointed messages — the harness binaries
+//! surface them as exit status 2, mirroring `ModelSpec`. Route latencies
+//! of the generated topologies derive from the `wires` segment model
+//! ([`heterowire_wires::segment_latency`]), so a spec never states cycle
+//! counts, only geometry.
 
 mod file;
 mod spec;
 
+pub(crate) use spec::check_segment_len;
 pub use spec::{TopoSpecError, TopologyPreset, TopologySpec};

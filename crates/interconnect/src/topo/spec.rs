@@ -5,6 +5,7 @@ use std::str::FromStr;
 
 use crate::topology::{
     check_crossbar, check_ring, CapacityError, Topology, DEFAULT_HOP_LEN, DEFAULT_XBAR_LEN,
+    MAX_SEGMENT_LEN,
 };
 
 /// The paper's two named shapes, delegating to compact spec strings.
@@ -77,7 +78,9 @@ pub enum TopoSpecError {
         /// The override key.
         key: &'static str,
     },
-    /// An override value is missing, non-numeric or zero.
+    /// A segment length is missing, non-numeric, zero or longer than
+    /// [`MAX_SEGMENT_LEN`], as an `@hop`/`@xbar` override or as a spec
+    /// file's `hop_len`/`xbar_len`.
     InvalidOverride {
         /// The override key.
         key: &'static str,
@@ -159,7 +162,8 @@ impl fmt::Display for TopoSpecError {
             }
             TopoSpecError::InvalidOverride { key, token } => write!(
                 f,
-                "@{key} needs a positive segment length, got {token:?} (e.g. \"@{key}2\")"
+                "@{key} needs a segment length of 1 to {MAX_SEGMENT_LEN}, got {token:?} \
+                 (e.g. \"@{key}2\")"
             ),
             TopoSpecError::FileSyntax { line, text } => write!(
                 f,
@@ -204,21 +208,39 @@ impl From<CapacityError> for TopoSpecError {
     }
 }
 
+/// The one segment-length check behind every validation site: `len`
+/// must lie in 1 to [`MAX_SEGMENT_LEN`]. The spec parsers return its
+/// error and [`Topology::with_segment_lengths`] panics with its text.
+pub(crate) fn check_segment_len(key: &'static str, len: usize) -> Result<u32, TopoSpecError> {
+    match u32::try_from(len) {
+        Ok(n @ 1..=MAX_SEGMENT_LEN) => Ok(n),
+        _ => Err(TopoSpecError::InvalidOverride {
+            key,
+            token: format!("{key}{len}"),
+        }),
+    }
+}
+
 /// Builds and validates a crossbar topology (shared by the compact and
-/// file parsers); validation is the shared capacity checker.
-pub(super) fn build_crossbar(clusters: usize, xbar_len: u32) -> Result<Topology, TopoSpecError> {
+/// file parsers); validation is the shared segment-length and capacity
+/// checkers.
+pub(super) fn build_crossbar(clusters: usize, xbar_len: usize) -> Result<Topology, TopoSpecError> {
+    let xbar_len = check_segment_len("xbar", xbar_len)?;
     check_crossbar(clusters)?;
     Ok(Topology::crossbar(clusters).with_segment_lengths(xbar_len, DEFAULT_HOP_LEN))
 }
 
 /// Builds and validates a hierarchical-ring topology (shared by the
-/// compact and file parsers); validation is the shared capacity checker.
+/// compact and file parsers); validation is the shared segment-length and
+/// capacity checkers.
 pub(super) fn build_ring(
     quads: usize,
     per_quad: usize,
-    xbar_len: u32,
-    hop_len: u32,
+    xbar_len: usize,
+    hop_len: usize,
 ) -> Result<Topology, TopoSpecError> {
+    let xbar_len = check_segment_len("xbar", xbar_len)?;
+    let hop_len = check_segment_len("hop", hop_len)?;
     check_ring(quads, per_quad)?;
     Ok(Topology::hier_ring(quads, per_quad).with_segment_lengths(xbar_len, hop_len))
 }
@@ -259,8 +281,8 @@ impl TopologySpec {
 
         let mut parts = rest.split('@');
         let dims = parts.next().unwrap_or("");
-        let mut xbar_len: Option<u32> = None;
-        let mut hop_len: Option<u32> = None;
+        let mut xbar_len: Option<usize> = None;
+        let mut hop_len: Option<usize> = None;
         for ov in parts {
             let digits_at = ov.find(|c: char| c.is_ascii_digit()).unwrap_or(ov.len());
             let (key, value) = ov.split_at(digits_at);
@@ -273,16 +295,11 @@ impl TopologySpec {
             if slot.is_some() {
                 return Err(TopoSpecError::DuplicateOverride(key));
             }
-            let len: u32 = value.parse().map_err(|_| TopoSpecError::InvalidOverride {
+            // The range check is `build_*`'s, shared with the file form.
+            let len: usize = value.parse().map_err(|_| TopoSpecError::InvalidOverride {
                 key,
                 token: ov.to_string(),
             })?;
-            if len == 0 {
-                return Err(TopoSpecError::InvalidOverride {
-                    key,
-                    token: ov.to_string(),
-                });
-            }
             *slot = Some(len);
         }
 
@@ -292,7 +309,7 @@ impl TopologySpec {
                     return Err(TopoSpecError::OverrideNotApplicable { key: "hop" });
                 }
                 let clusters = parse_dim("clusters", dims)?;
-                build_crossbar(clusters, xbar_len.unwrap_or(DEFAULT_XBAR_LEN))?
+                build_crossbar(clusters, xbar_len.unwrap_or(DEFAULT_XBAR_LEN as usize))?
             }
             "ring" => {
                 let Some((q, p)) = dims.split_once('x') else {
@@ -303,8 +320,8 @@ impl TopologySpec {
                 build_ring(
                     quads,
                     per_quad,
-                    xbar_len.unwrap_or(DEFAULT_XBAR_LEN),
-                    hop_len.unwrap_or(DEFAULT_HOP_LEN),
+                    xbar_len.unwrap_or(DEFAULT_XBAR_LEN as usize),
+                    hop_len.unwrap_or(DEFAULT_HOP_LEN as usize),
                 )?
             }
             other => return Err(TopoSpecError::UnknownShape(other.to_string())),
@@ -488,6 +505,36 @@ mod tests {
         ] {
             let msg = TopologySpec::parse(s).unwrap_err().to_string();
             assert!(!msg.is_empty(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn segment_lengths_past_the_bound_are_refused() {
+        // The bound itself parses on both segment kinds.
+        let t = TopologySpec::parse("ring:16x4@hop64@xbar64")
+            .unwrap()
+            .topology();
+        assert_eq!((t.hop_len(), t.xbar_len()), (64, 64));
+        for (spec, key, token) in [
+            ("ring:4x4@hop65", "hop", "hop65"),
+            ("ring:4x4@hop100000", "hop", "hop100000"),
+            ("ring:4x4@hop4000000000", "hop", "hop4000000000"),
+            // Past u32 as well.
+            ("ring:4x4@hop4294967298", "hop", "hop4294967298"),
+            ("ring:4x4@xbar65", "xbar", "xbar65"),
+            ("xbar:4@xbar4000000000", "xbar", "xbar4000000000"),
+        ] {
+            let err = TopologySpec::parse(spec).unwrap_err();
+            assert_eq!(
+                err,
+                TopoSpecError::InvalidOverride {
+                    key,
+                    token: token.into()
+                },
+                "{spec}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(token) && msg.contains("1 to 64"), "{msg}");
         }
     }
 

@@ -235,6 +235,18 @@ pub const DEFAULT_XBAR_LEN: u32 = 1;
 /// Default ring-hop segment length (two W-segments, paper §5.2).
 pub const DEFAULT_HOP_LEN: u32 = 2;
 
+/// Longest crossbar traversal or ring hop a topology accepts, in W-segment
+/// units. The network sizes its delivery wheel to the longest route, and
+/// the kernel's forward-progress watchdog gives up after 100 000 cycles
+/// without a commit, so an unbounded length would exhaust memory or stall
+/// every job. 64 is twenty times the longest in-tree use, and
+/// `ring:16x4@hop64@xbar64` still simulates. One bound, one message: the
+/// spec layer refuses a longer `@hop`/`@xbar` override or
+/// `hop_len`/`xbar_len` key with
+/// [`crate::topo::TopoSpecError::InvalidOverride`] (CLI exit 2), and
+/// [`Topology::with_segment_lengths`] panics with the same text.
+pub const MAX_SEGMENT_LEN: u32 = 64;
+
 impl Topology {
     /// A 4-cluster crossbar (the paper's main configuration).
     pub fn crossbar4() -> Self {
@@ -294,10 +306,13 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics on a zero length.
+    /// Panics on a length outside 1 to [`MAX_SEGMENT_LEN`].
     pub fn with_segment_lengths(mut self, xbar_len: u32, hop_len: u32) -> Self {
-        assert!(xbar_len >= 1, "crossbar segment length must be at least 1");
-        assert!(hop_len >= 1, "ring-hop segment length must be at least 1");
+        for (key, len) in [("xbar", xbar_len), ("hop", hop_len)] {
+            if let Err(e) = crate::topo::check_segment_len(key, len as usize) {
+                panic!("{e}");
+            }
+        }
         self.xbar_len = xbar_len;
         self.hop_len = match self.shape {
             Shape::Crossbar { .. } => DEFAULT_HOP_LEN,
@@ -671,6 +686,12 @@ mod tests {
             Topology::crossbar(4).with_segment_lengths(1, 5),
             Topology::crossbar4()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "segment length of 1 to 64, got \"hop65\"")]
+    fn overlong_segment_is_rejected_at_construction() {
+        let _ = Topology::hier16().with_segment_lengths(1, MAX_SEGMENT_LEN + 1);
     }
 
     #[test]

@@ -377,7 +377,8 @@ fn generated_topologies_differential_random_bursts() {
 #[test]
 fn transmission_line_and_scaled_latency_differential() {
     // The sensitivity-study configs change per-class latency arithmetic;
-    // the cached route table must reproduce them exactly.
+    // the network's per-(class, segment count) costs must reproduce
+    // them exactly.
     for (scale, tl) in [(2.0, false), (1.0, true), (2.0, true)] {
         for topology in [Topology::crossbar4(), Topology::hier16()] {
             let mut cfg_new = NetConfig::new(topology, full_link());

@@ -14,7 +14,11 @@
 //! The delta between the two runs must therefore stay far below one
 //! allocation per extra instruction.
 //!
-//! This file deliberately holds a single test: the counter is global to
+//! The same allocator also sums the bytes requested, which bounds what
+//! building one network costs: its route tables must not grow with
+//! (nodes² × wire classes).
+//!
+//! This file deliberately holds a single test: the counters are global to
 //! the process, and a dedicated integration-test binary keeps other tests
 //! from allocating concurrently.
 
@@ -22,16 +26,20 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use heterowire_core::{InterconnectModel, NullProbe, Processor, ProcessorConfig};
-use heterowire_interconnect::Topology;
+use heterowire_interconnect::{NetConfig, Network, Topology};
 use heterowire_trace::{by_name, TraceGenerator};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by every allocation (a reallocation counts its whole
+/// new size), never decremented.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -41,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -105,4 +114,19 @@ fn simulator_steady_state_is_allocation_free() {
              {small}, large window: {large})"
         );
     }
+
+    // Building the 64-cluster ring's network: one link list per node pair
+    // (65² of them, 93 KB) plus the link, queue and wheel state. Measured
+    // 133,270 bytes; with a route per (node pair, class) it was 716,320.
+    let link = ProcessorConfig::for_model(InterconnectModel::X, Topology::hier_ring(16, 4)).link;
+    let config = NetConfig::new(Topology::hier_ring(16, 4), link);
+    let before = BYTES.load(Ordering::Relaxed);
+    let net = Network::new(config);
+    let bytes = BYTES.load(Ordering::Relaxed) - before;
+    drop(net);
+    assert!(
+        bytes < 256 * 1024,
+        "building the ring:16x4 network allocated {bytes} bytes; its route \
+         tables should not grow with (nodes² × classes)"
+    );
 }

@@ -119,6 +119,31 @@ fn malformed_topology_tokens_exit_2_with_pointed_messages() {
     }
 }
 
+/// A segment length past `MAX_SEGMENT_LEN` exits 2 naming the token. Unbounded,
+/// `@hop4000000000` sized the delivery wheel to 824 GB and aborted the
+/// process, and `@hop100000` made every route outlast the stall watchdog.
+#[test]
+fn overlong_segment_lengths_exit_2_without_panicking() {
+    for (token, bad) in [
+        ("ring:4x4@hop4000000000", "hop4000000000"),
+        ("xbar:4@xbar4000000000", "xbar4000000000"),
+        ("ring:4x4@hop100000", "hop100000"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_policy_ab"))
+            .args(["--topology", token, "--model", "X"])
+            .env("HETEROWIRE_SCALE", "quick")
+            .output()
+            .expect("policy_ab runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{token}: {stderr}");
+        assert!(
+            stderr.contains(bad) && stderr.contains("1 to 64"),
+            "{token}: stderr must name the token and the bound:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{token}: {stderr}");
+    }
+}
+
 /// A `--topology` flag with no value is also a loud exit-2 error.
 #[test]
 fn dangling_topology_flag_exits_2() {
