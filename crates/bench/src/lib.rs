@@ -14,10 +14,9 @@
 //! | `policy_ab`    | steering-policy race over (topology × model × policy) |
 //! | `fault_sweep`  | steering policies across a wire-fault grid, against a fault-free baseline |
 //! | `telemetry`    | one recorded run: Chrome trace and per-link wire-class utilization |
-//! | `sweep_timing` | wall-clock of the quick model sweep, one worker vs the executor pool |
 //!
 //! The library is the harness's three layers, shared by the binaries, the
-//! integration tests and the timing benches:
+//! integration tests and the examples:
 //!
 //! 1. a [`Cell`] is one grid column — a configuration, a steering policy
 //!    and an optional fault scenario — and [`Cell::run`] is the only path
@@ -27,10 +26,10 @@
 //! 3. each binary is a presentation over that: it declares its flags to
 //!    [`Args`], builds cells, sweeps them and formats the suites.
 //!
-//! Wall-clock measurement lives in [`timing`].
+//! Host-time measurement lives outside this crate, in the `perfbench/`
+//! benchmark declared by `BENCHMARK.json`.
 
 pub mod executor;
-pub mod timing;
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -72,7 +71,7 @@ impl RunScale {
         }
     }
 
-    /// A fast scale for smoke tests and Criterion timing.
+    /// A fast scale for smoke tests and CI.
     pub fn quick() -> Self {
         RunScale {
             window: 10_000,

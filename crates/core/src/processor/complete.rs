@@ -127,23 +127,15 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             self.lsq.arrive_partial_ref(lref, addr, now);
         }
         let inst = self.rob_get_mut(seq).expect("in rob");
-        if scan == FULL_SCAN {
-            inst.addr_at_lsq = now;
-        }
         if op.op() == OpClass::Store {
             if scan == FULL_SCAN {
                 inst.store_addr_arrived = true;
-                let delay = now.saturating_sub(inst.dispatched_at);
-                let iss = inst.issued_at.saturating_sub(inst.dispatched_at);
                 // Both halves at the LSQ: committable. (The address is
                 // only ever sent after AGEN, so the phase is already
                 // MemPending here.)
                 if inst.store_data_arrived && inst.phase == Phase::MemPending {
                     inst.phase = Phase::Done;
                 }
-                self.store_addr_delay_sum += delay;
-                self.store_issue_wait_sum += iss;
-                self.store_addr_count += 1;
                 self.wake_lsq_waiters(seq, FULL_SCAN);
             }
             // A full address also fills in the partial bits.
@@ -226,9 +218,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                         continue;
                     };
                     i.phase = Phase::Done;
-                    let (cluster, dest_row, issued_at) = (i.cluster, i.dest_row, i.issued_at);
-                    self.load_lat_sum += self.cycle.saturating_sub(issued_at);
-                    self.load_count += 1;
+                    let (cluster, dest_row) = (i.cluster, i.dest_row);
                     // A load without a destination has no readers.
                     if let Some(row) = dest_row {
                         self.publish(row, cluster);
@@ -319,15 +309,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 OpClass::Branch => {
                     self.rob_get_mut(seq).expect("in rob").phase = Phase::Done;
                     if mispredict {
-                        let (d, i) = {
-                            let inst = self.rob_get(seq).expect("in rob");
-                            (inst.dispatched_at, inst.issued_at)
-                        };
-                        let start = self.fetch.stall_started();
-                        self.misp_dispatch_wait += d.saturating_sub(start);
-                        self.misp_issue_wait += i.saturating_sub(d);
-                        self.misp_exec_wait += cycle.saturating_sub(i);
-                        self.misp_count += 1;
                         let decision = self.policy.branch_signal(cycle, &mut self.probe);
                         let sent = self.network.send_probed(
                             Transfer {
@@ -450,15 +431,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                     i += 1;
                 }
                 LoadStatus::FullReady { forward } => {
-                    {
-                        let (at_lsq, issued) = {
-                            let i = self.rob_get(seq).expect("in rob");
-                            (i.addr_at_lsq, i.issued_at)
-                        };
-                        self.lsq_wait_sum += cycle.saturating_sub(at_lsq);
-                        self.agen_to_lsq_sum += at_lsq.saturating_sub(issued);
-                        self.lsq_wait_count += 1;
-                    }
                     let data_ready = if forward {
                         cycle + 1
                     } else {

@@ -137,15 +137,12 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 prev_row,
                 src_ready: [u64::MAX; 2],
                 mispredict: fetched.mispredicted,
-                dispatched_at: self.cycle,
-                issued_at: 0,
                 ram_start: None,
                 at_cache: false,
                 lsq_status: None,
                 lsq_blockers: LoadBlockers::default(),
                 lsq_next: [NO_WAITER; 2],
                 lsq_waiters: [NO_WAITER; 2],
-                addr_at_lsq: 0,
                 lsq_ref,
                 agen_done: false,
                 store_data_sent: false,

@@ -96,7 +96,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             };
             self.steering.issue(cluster, iq_class(op.op()));
             self.rob[off].phase = Phase::Executing(cycle + latency);
-            self.rob[off].issued_at = cycle;
             if P::ENABLED {
                 self.probe.issue(cycle, self.rob_base + off as u64, cluster);
             }
@@ -124,9 +123,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 cycle + latency
             };
             self.steering.issue(cluster, iq_class(op.op()));
-            let inst = self.rob_get_mut(seq).expect("ready instr in rob");
-            inst.phase = Phase::Executing(cycle + latency);
-            inst.issued_at = cycle;
+            self.rob_get_mut(seq).expect("ready instr in rob").phase =
+                Phase::Executing(cycle + latency);
             if P::ENABLED {
                 self.probe.issue(cycle, seq, cluster);
             }

@@ -110,10 +110,6 @@ struct Inflight {
     /// (`u64::MAX` = not yet known).
     src_ready: [u64; 2],
     mispredict: bool,
-    /// Cycle this instruction dispatched (statistics).
-    dispatched_at: u64,
-    /// Cycle this instruction issued (statistics).
-    issued_at: u64,
     /// Loads: cycle the cache RAM index arrived (partial bits).
     ram_start: Option<u64>,
     /// Loads: registered in the at-cache active list.
@@ -130,8 +126,6 @@ struct Inflight {
     /// Stores: heads of the lists of loads whose full / partial scan
     /// stopped at this store, woken when the address arrives.
     lsq_waiters: [u32; 2],
-    /// Loads/stores: cycle the full address reached the LSQ (statistics).
-    addr_at_lsq: u64,
     /// Loads/stores: O(1) handle to this op's LSQ entry.
     lsq_ref: Option<LsqRef>,
     /// Stores: address has been sent after AGEN.
@@ -308,18 +302,6 @@ pub struct Processor<
     dispatched: u64,
     /// Commit stops exactly at this count (set by `run`).
     commit_target: u64,
-    misp_dispatch_wait: u64,
-    misp_issue_wait: u64,
-    misp_exec_wait: u64,
-    misp_count: u64,
-    load_lat_sum: u64,
-    load_count: u64,
-    lsq_wait_sum: u64,
-    lsq_wait_count: u64,
-    agen_to_lsq_sum: u64,
-    store_addr_delay_sum: u64,
-    store_addr_count: u64,
-    store_issue_wait_sum: u64,
 }
 
 impl Processor {
@@ -332,14 +314,7 @@ impl Processor {
     /// [`Processor::with_probe`], alternative policies through
     /// [`Processor::with_policy`].
     pub fn new(config: ProcessorConfig, trace: TraceGenerator) -> Self {
-        Self::with_shared_config(Arc::new(config), trace)
-    }
-
-    /// Builds a processor over a shared configuration — sweep harnesses
-    /// running one config across many benchmarks share a single allocation
-    /// instead of cloning the config per run.
-    pub fn with_shared_config(config: Arc<ProcessorConfig>, trace: TraceGenerator) -> Self {
-        Self::with_probe_shared(config, trace, NullProbe)
+        Self::with_probe_shared(Arc::new(config), trace, NullProbe)
     }
 
     /// Convenience: builds and runs in one call.
@@ -467,18 +442,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             committed: 0,
             dispatched: 0,
             commit_target: u64::MAX,
-            misp_dispatch_wait: 0,
-            misp_issue_wait: 0,
-            misp_exec_wait: 0,
-            misp_count: 0,
-            load_lat_sum: 0,
-            load_count: 0,
-            lsq_wait_sum: 0,
-            lsq_wait_count: 0,
-            agen_to_lsq_sum: 0,
-            store_addr_delay_sum: 0,
-            store_addr_count: 0,
-            store_issue_wait_sum: 0,
             config,
         }
     }
@@ -503,43 +466,6 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// point of a run.
     pub fn set_steering_weights(&mut self, weights: SteeringWeights) {
         self.steering.set_weights(weights);
-    }
-
-    /// Mean load latency from address generation to data arrival at the
-    /// consuming cluster.
-    pub fn mean_load_latency(&self) -> f64 {
-        self.load_lat_sum as f64 / self.load_count.max(1) as f64
-    }
-
-    /// Mean `(AGEN issue -> address at LSQ, address at LSQ -> disambiguated)`
-    /// cycles for loads.
-    pub fn load_lsq_breakdown(&self) -> (f64, f64) {
-        let n = self.lsq_wait_count.max(1) as f64;
-        (
-            self.agen_to_lsq_sum as f64 / n,
-            self.lsq_wait_sum as f64 / n,
-        )
-    }
-
-    /// Mean cycles from a store's dispatch to its address reaching the LSQ.
-    pub fn mean_store_addr_delay(&self) -> f64 {
-        self.store_addr_delay_sum as f64 / self.store_addr_count.max(1) as f64
-    }
-
-    /// Mean cycles from a store's dispatch to its AGEN issuing.
-    pub fn mean_store_issue_wait(&self) -> f64 {
-        self.store_issue_wait_sum as f64 / self.store_addr_count.max(1) as f64
-    }
-
-    /// Mean mispredict-resolution breakdown:
-    /// `(stall->dispatch, dispatch->issue, issue->resolve)` cycles.
-    pub fn mispredict_breakdown(&self) -> (f64, f64, f64) {
-        let n = self.misp_count.max(1) as f64;
-        (
-            self.misp_dispatch_wait as f64 / n,
-            self.misp_issue_wait as f64 / n,
-            self.misp_exec_wait as f64 / n,
-        )
     }
 
     /// The configuration in effect.

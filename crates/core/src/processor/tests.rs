@@ -218,19 +218,17 @@ mod mechanism_tests {
 
     use super::*;
 
-    fn run(model: InterconnectModel, bench: &str, n: u64) -> (Processor, SimResults) {
+    fn run(model: InterconnectModel, bench: &str, n: u64) -> SimResults {
         let config = ProcessorConfig::for_model(model, Topology::crossbar4());
         let trace = TraceGenerator::new(profile::by_name(bench).unwrap(), 77);
-        let mut p = Processor::new(config, trace);
-        let r = p.run(n, n / 4);
-        (p, r)
+        Processor::simulate(config, trace, n, n / 4)
     }
 
     #[test]
     fn store_data_rides_pw_wires_in_model_v() {
         // Model V has B + PW: the PW plane must carry the store-data and
         // ready-at-dispatch traffic (paper: 36% of transfers).
-        let (_, r) = run(InterconnectModel::V, "vortex", 10_000);
+        let r = run(InterconnectModel::V, "vortex", 10_000);
         let pw_share = r.net.class_share(WireClass::Pw);
         assert!(
             (0.10..=0.70).contains(&pw_share),
@@ -240,7 +238,7 @@ mod mechanism_tests {
 
     #[test]
     fn model_i_has_no_l_or_pw_traffic() {
-        let (_, r) = run(InterconnectModel::I, "gap", 5_000);
+        let r = run(InterconnectModel::I, "gap", 5_000);
         assert_eq!(r.net.transfers[0], 0, "W plane never used");
         assert_eq!(r.net.transfers[1], 0, "no PW plane in Model I");
         assert_eq!(r.net.transfers[3], 0, "no L plane in Model I");
@@ -249,8 +247,8 @@ mod mechanism_tests {
 
     #[test]
     fn partial_addresses_reach_the_lsq_only_with_l_wires() {
-        let (_, base) = run(InterconnectModel::I, "parser", 8_000);
-        let (_, l) = run(InterconnectModel::VII, "parser", 8_000);
+        let base = run(InterconnectModel::I, "parser", 8_000);
+        let l = run(InterconnectModel::VII, "parser", 8_000);
         assert_eq!(base.lsq.partial_matches, 0, "baseline sends no partials");
         assert!(
             l.lsq.partial_matches > 0,
@@ -264,7 +262,7 @@ mod mechanism_tests {
         // reuse.
         let mut total = 0;
         for b in ["gcc", "vortex", "crafty"] {
-            let (_, r) = run(InterconnectModel::I, b, 10_000);
+            let r = run(InterconnectModel::I, b, 10_000);
             total += r.lsq.forwards;
         }
         assert!(total > 0, "no store-to-load forwarding observed");
@@ -272,25 +270,12 @@ mod mechanism_tests {
 
     #[test]
     fn mispredict_penalty_includes_refill() {
-        let (_, r) = run(InterconnectModel::I, "twolf", 10_000);
+        let r = run(InterconnectModel::I, "twolf", 10_000);
         // The floor is resolution + signal + 12-cycle refill.
         assert!(
             r.fetch.mean_mispredict_penalty() >= 12.0,
             "penalty {}",
             r.fetch.mean_mispredict_penalty()
-        );
-    }
-
-    #[test]
-    fn load_latency_breakdown_is_consistent() {
-        let (p, _) = run(InterconnectModel::I, "gzip", 10_000);
-        let (agen_to_lsq, lsq_block) = p.load_lsq_breakdown();
-        let total = p.mean_load_latency();
-        assert!(agen_to_lsq >= 1.0, "addresses take at least a cycle");
-        assert!(lsq_block >= 0.0);
-        assert!(
-            total >= agen_to_lsq,
-            "total {total} < addr transfer {agen_to_lsq}"
         );
     }
 

@@ -89,19 +89,6 @@ impl fmt::Display for Report<'_> {
     }
 }
 
-/// Formats a compact one-line comparison between two runs of the same
-/// workload (e.g. baseline vs optimized).
-pub fn compare_line(label: &str, base: &SimResults, new: &SimResults) -> String {
-    format!(
-        "{label}: IPC {:.3} -> {:.3} ({:+.1}%), dyn energy {:+.1}%, transfers {:+.1}%",
-        base.ipc(),
-        new.ipc(),
-        (new.ipc() / base.ipc() - 1.0) * 100.0,
-        (new.net.dynamic_energy / base.net.dynamic_energy - 1.0) * 100.0,
-        (new.net.total_transfers() as f64 / base.net.total_transfers() as f64 - 1.0) * 100.0,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,12 +120,5 @@ mod tests {
         // The W plane is never deployed: no standalone "W-Wires" row
         // ("PW-Wires" contains the substring, so match the row form).
         assert!(!text.contains("    W-Wires"), "W plane is never deployed");
-    }
-
-    #[test]
-    fn compare_line_shows_deltas() {
-        let r = sample();
-        let line = compare_line("self", &r, &r);
-        assert!(line.contains("+0.0%"), "{line}");
     }
 }

@@ -230,11 +230,6 @@ impl<I: Iterator<Item = MicroOp>> FetchEngine<I> {
         matches!(self.resume_at, Some(u64::MAX))
     }
 
-    /// Cycle the current (or most recent) mispredict stall began.
-    pub fn stall_started(&self) -> u64 {
-        self.stall_started
-    }
-
     /// Removes and returns the oldest fetched op, if any.
     pub fn pop(&mut self) -> Option<FetchedOp> {
         self.queue.pop_front()

@@ -186,11 +186,6 @@ impl MemoryHierarchy {
         self.stats
     }
 
-    /// L1 D-cache sets — used to size the partial-address index bits.
-    pub fn l1_sets(&self) -> u64 {
-        self.l1d.sets()
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &MemConfig {
         &self.config

@@ -98,12 +98,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// Wraps an already-built composition (e.g. a model preset) so it can
-    /// be formatted as a spec string.
-    pub fn from_composition(composition: LinkComposition) -> Self {
-        LinkSpec { composition }
-    }
-
     /// Parses a `b144+pw288+l36`-style spec.
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         let s = s.trim();

@@ -63,27 +63,35 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     // per-benchmark SimResults (a plain Copy/PartialEq struct) must equal
     // the one-worker sweep, which runs every job inline in order, bit for
     // bit. Workers forced above 1 so the queue is genuinely drained
-    // concurrently even on single-core hosts.
+    // concurrently even on single-core hosts. The 32-cluster crossbar keeps
+    // every model checked on a fabric past 16 clusters, where the value
+    // slot rows and cluster masks are wide.
     let scale = RunScale {
         window: 1_500,
         warmup: 300,
     };
-    let cells: Vec<Cell> = InterconnectModel::ALL
-        .iter()
-        .map(|&m| Cell::from_config(ProcessorConfig::for_model(m, Topology::crossbar4())))
-        .collect();
-    let serial = completed(sweep(&cells, scale, 1));
-    let parallel = completed(sweep(&cells, scale, 4));
-    assert_eq!(serial.len(), parallel.len());
-    for (model, (s, p)) in InterconnectModel::ALL
-        .iter()
-        .zip(serial.iter().zip(&parallel))
-    {
-        assert_eq!(s.names, p.names, "{model}: benchmark order diverged");
-        assert_eq!(
-            s.runs, p.runs,
-            "{model}: results diverged under parallelism"
-        );
+    for topology in [Topology::crossbar4(), Topology::crossbar(32)] {
+        let cells: Vec<Cell> = InterconnectModel::ALL
+            .iter()
+            .map(|&m| Cell::from_config(ProcessorConfig::for_model(m, topology)))
+            .collect();
+        let serial = completed(sweep(&cells, scale, 1));
+        let parallel = completed(sweep(&cells, scale, 4));
+        assert_eq!(serial.len(), parallel.len());
+        let shape = topology.spec_string();
+        for (model, (s, p)) in InterconnectModel::ALL
+            .iter()
+            .zip(serial.iter().zip(&parallel))
+        {
+            assert_eq!(
+                s.names, p.names,
+                "{shape} {model}: benchmark order diverged"
+            );
+            assert_eq!(
+                s.runs, p.runs,
+                "{shape} {model}: results diverged under parallelism"
+            );
+        }
     }
 }
 
