@@ -17,8 +17,7 @@
 //! scalar as machine-readable [`MetricRow`] artifacts.
 
 use heterowire_bench::{
-    completed, executor, format_metric_csv, format_metric_json, or_exit, sweep, Args, Cell,
-    MetricRow, RunScale, SEED,
+    completed, executor, or_exit, sweep, Args, Cell, MetricRow, RunScale, SEED,
 };
 use heterowire_core::{
     Extensions, InterconnectModel, ModelSpec, Optimizations, ProcessorConfig, SimResults,
@@ -294,8 +293,5 @@ fn main() {
     for (_, run_study) in selected {
         run_study(scale, &study, topology, &mut metrics);
     }
-    paths.emit(
-        || format_metric_csv(&metrics),
-        || format_metric_json(&metrics),
-    );
+    paths.emit(&metrics);
 }

@@ -20,10 +20,7 @@
 //! diagnostics on stderr, and the sweep exits 1 after writing artifacts.
 //! Same grid + same seed ⇒ bit-identical artifacts (CI diffs two runs).
 
-use heterowire_bench::{
-    executor, format_metric_csv, format_metric_json, or_exit, sweep, Args, Cell, MetricRow,
-    PolicyKind, RunScale,
-};
+use heterowire_bench::{executor, or_exit, sweep, Args, Cell, MetricRow, PolicyKind, RunScale};
 use heterowire_core::{EnergyParams, FaultSpec};
 
 /// The default transient error-rate ladder swept when no `--faults` flag
@@ -174,7 +171,7 @@ fn main() {
         }
     }
     println!();
-    paths.emit(|| format_metric_csv(&rows), || format_metric_json(&rows));
+    paths.emit(&rows);
     if failed > 0 {
         eprintln!("{failed} sweep cell(s) failed");
         std::process::exit(1);

@@ -10,7 +10,7 @@
 //! single layer.
 
 use heterowire_bench::{
-    completed, executor, format_suite_csv, format_suite_json, or_exit, sweep, Args, Cell, RunScale,
+    completed, executor, or_exit, suite_metric_rows, sweep, Args, Cell, RunScale,
 };
 use heterowire_core::{ModelSpec, Optimizations, ProcessorConfig};
 
@@ -42,13 +42,12 @@ fn main() {
     );
     let suites = completed(sweep(&cells, scale, executor::default_workers()));
     let (base, lwire) = (&suites[0], &suites[1]);
-    let labelled = [("baseline", base), ("lwire", lwire)];
-    paths.emit(
-        || format_suite_csv(&labelled),
-        || format_suite_json(&labelled),
-    );
+    paths.emit(&suite_metric_rows(&[("baseline", base), ("lwire", lwire)]));
 
-    println!("Figure 3: IPC, 4-cluster partitioned architecture");
+    println!(
+        "Figure 3: IPC, {}-cluster partitioned architecture",
+        topology.clusters()
+    );
     println!(
         "{:<10} {:>10} {:>14} {:>8}",
         "benchmark", "baseline", "enhanced", "delta"

@@ -19,8 +19,8 @@
 //! on `custom:b144`) is refused up front with exit status 2.
 
 use heterowire_bench::{
-    completed, executor, format_metric_csv, format_metric_json, format_policy_table, or_exit,
-    parse_topology_token, policy_metric_rows, sweep, Args, Cell, PolicyKind, RunScale,
+    completed, executor, format_policy_table, or_exit, parse_topology_token, policy_metric_rows,
+    sweep, Args, Cell, PolicyKind, RunScale,
 };
 use heterowire_core::ModelSpec;
 
@@ -75,8 +75,8 @@ fn main() {
         println!("(ED2 is % of the first listed policy, at 10%/20% interconnect fractions)\n");
         for spec in &models {
             let model_suites = grid.next().expect("one chunk per (topology, model)");
-            println!("{}", format_policy_table(spec, &policies, model_suites));
             let mut model_rows = policy_metric_rows(spec, &policies, model_suites);
+            println!("{}", format_policy_table(spec, &model_rows));
             // In a multi-topology race the section key carries the
             // topology so rows stay distinguishable in the artifacts.
             if topologies.len() > 1 {
@@ -87,5 +87,5 @@ fn main() {
             rows.extend(model_rows);
         }
     }
-    paths.emit(|| format_metric_csv(&rows), || format_metric_json(&rows));
+    paths.emit(&rows);
 }

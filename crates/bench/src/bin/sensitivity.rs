@@ -18,10 +18,7 @@
 //! fixed 4-vs-16-cluster contrast); `--csv` / `--json` write every claim
 //! as machine-readable metric rows.
 
-use heterowire_bench::{
-    completed, executor, format_metric_csv, format_metric_json, or_exit, sweep, Args, Cell,
-    MetricRow, RunScale,
-};
+use heterowire_bench::{completed, executor, or_exit, sweep, Args, Cell, MetricRow, RunScale};
 use heterowire_core::{InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::spec2000;
@@ -159,8 +156,5 @@ fn main() {
     println!("7. narrow share of integer register traffic: {narrow_pct:.1}% (paper: 14%)");
     claim(&mut metrics, "trace", "narrow_share_pct", narrow_pct);
 
-    paths.emit(
-        || format_metric_csv(&metrics),
-        || format_metric_json(&metrics),
-    );
+    paths.emit(&metrics);
 }

@@ -3,7 +3,7 @@
 //! the values derived from the analytical wire models, plus the resulting
 //! network latencies and the transmission-line headroom discussed in §2.
 
-use heterowire_bench::{format_table2_csv, format_table2_json, or_exit, Args};
+use heterowire_bench::{or_exit, Args, MetricRow};
 use heterowire_wires::classes::table2;
 use heterowire_wires::geometry::WireGeometry;
 use heterowire_wires::repeater::{DeviceParams, RepeatedWire};
@@ -22,7 +22,22 @@ fn main() {
             models.is_empty() || models.iter().any(|spec| spec.link().lanes(row.class) > 0)
         })
         .collect();
-    paths.emit(|| format_table2_csv(&rows), || format_table2_json(&rows));
+    let metrics: Vec<MetricRow> = rows
+        .iter()
+        .flat_map(|row| {
+            [
+                ("relative_delay", row.relative_delay),
+                ("derived_delay", row.derived_delay),
+                ("relative_dynamic", row.relative_dynamic),
+                ("derived_dynamic", row.derived_dynamic),
+                ("relative_leakage", row.relative_leakage),
+                ("crossbar_latency", row.crossbar_latency.into()),
+                ("ring_hop_latency", row.ring_hop_latency.into()),
+            ]
+            .map(|(metric, value)| MetricRow::new("table2", row.class.label(), metric, value))
+        })
+        .collect();
+    paths.emit(&metrics);
     println!("Table 2: wire delay and relative energy parameters per wire class");
     println!("(canonical = paper values; derived = from the RC/repeater models)\n");
     println!(

@@ -13,7 +13,7 @@ fn main() {
         topo.topology().clusters()
     );
     println!("(all values except IPC are % of Model I)\n");
-    print!("{}", format_model_table(&rows, true));
+    print!("{}", format_model_table(&rows));
 
     let best = rows
         .iter()

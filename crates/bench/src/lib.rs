@@ -24,7 +24,9 @@
 //! 2. [`sweep`] runs cells × the 23 SPEC2000 profiles as one job list on
 //!    the bounded work-queue in [`executor`], one [`SuiteResults`] per cell;
 //! 3. each binary is a presentation over that: it declares its flags to
-//!    [`Args`], builds cells, sweeps them and formats the suites.
+//!    [`Args`], builds cells, sweeps them, prints a text table and writes
+//!    its [`MetricRow`]s, the one artifact schema, through
+//!    [`ArtifactPaths::emit`].
 //!
 //! Host-time measurement lives outside this crate, in the `perfbench/`
 //! benchmark declared by `BENCHMARK.json`.
@@ -43,7 +45,6 @@ use heterowire_core::{
 use heterowire_interconnect::{Topology, TopologySpec};
 use heterowire_telemetry::json::JsonWriter;
 use heterowire_trace::{spec2000, BenchmarkProfile, TraceGenerator};
-use heterowire_wires::classes::Table2Row;
 use heterowire_wires::WireClass;
 
 /// Default committed-instruction window per benchmark.
@@ -404,6 +405,17 @@ pub fn suite_class_share(suite: &SuiteResults, class: WireClass) -> f64 {
     100.0 * on_class as f64 / total as f64
 }
 
+/// The metrics [`policy_metric_rows`] writes for each policy, in order.
+const POLICY_METRICS: [&str; 7] = [
+    "am_ipc",
+    "traffic_b_pct",
+    "traffic_pw_pct",
+    "traffic_l_pct",
+    "ic_dyn_energy",
+    "ed2_10_pct",
+    "ed2_20_pct",
+];
+
 /// Builds the per-policy [`MetricRow`] comparison for one model of a
 /// policy race: IPC, traffic mix per wire class, interconnect energy and
 /// ED² (relative to the race's *first* policy, mirroring the model-sweep
@@ -419,43 +431,34 @@ pub fn policy_metric_rows(
     let baseline = &suites[0];
     let mut rows = Vec::new();
     for (&pk, suite) in policies.iter().zip(suites) {
-        let at_10 = suite.relative_to(baseline, EnergyParams::ten_percent());
-        let at_20 = suite.relative_to(baseline, EnergyParams::twenty_percent());
-        let ic_dyn: f64 = suite.runs.iter().map(|r| r.net.dynamic_energy).sum();
-        let label = pk.name();
-        rows.push(MetricRow::new(&section, label, "am_ipc", suite.mean_ipc()));
-        for (metric, class) in [
-            ("traffic_b_pct", WireClass::B),
-            ("traffic_pw_pct", WireClass::Pw),
-            ("traffic_l_pct", WireClass::L),
-        ] {
-            rows.push(MetricRow::new(
-                &section,
-                label,
-                metric,
-                suite_class_share(suite, class),
-            ));
+        let values = [
+            suite.mean_ipc(),
+            suite_class_share(suite, WireClass::B),
+            suite_class_share(suite, WireClass::Pw),
+            suite_class_share(suite, WireClass::L),
+            suite.runs.iter().map(|r| r.net.dynamic_energy).sum(),
+            suite
+                .relative_to(baseline, EnergyParams::ten_percent())
+                .rel_ed2,
+            suite
+                .relative_to(baseline, EnergyParams::twenty_percent())
+                .rel_ed2,
+        ];
+        for (metric, value) in POLICY_METRICS.into_iter().zip(values) {
+            rows.push(MetricRow::new(&section, pk.name(), metric, value));
         }
-        rows.push(MetricRow::new(&section, label, "ic_dyn_energy", ic_dyn));
-        rows.push(MetricRow::new(&section, label, "ed2_10_pct", at_10.rel_ed2));
-        rows.push(MetricRow::new(&section, label, "ed2_20_pct", at_20.rel_ed2));
     }
     rows
 }
 
-/// Formats one model's policy race as an aligned text table.
-pub fn format_policy_table(
-    model: &ModelSpec,
-    policies: &[PolicyKind],
-    suites: &[SuiteResults],
-) -> String {
-    assert_eq!(suites.len(), policies.len());
-    let baseline = &suites[0];
+/// Formats one model's policy race, as [`policy_metric_rows`] built it,
+/// as an aligned text table.
+pub fn format_policy_table(model: &ModelSpec, rows: &[MetricRow]) -> String {
     let mut out = format!(
         "model {} ({}), ED2 relative to policy {:?}\n{:<12} {:>6} {:>6} {:>6} {:>6} {:>10} {:>9} {:>9}\n",
         model.label(),
         model.description(),
-        policies[0].name(),
+        rows[0].label,
         "Policy",
         "IPC",
         "B%",
@@ -465,22 +468,61 @@ pub fn format_policy_table(
         "ED2(10%)",
         "ED2(20%)"
     );
-    for (&pk, suite) in policies.iter().zip(suites) {
+    for policy in rows.chunks(POLICY_METRICS.len()) {
+        let v: Vec<f64> = policy.iter().map(|r| r.value).collect();
         out.push_str(&format!(
             "{:<12} {:>6.3} {:>6.1} {:>6.1} {:>6.1} {:>10.0} {:>9.1} {:>9.1}\n",
-            pk.name(),
-            suite.mean_ipc(),
-            suite_class_share(suite, WireClass::B),
-            suite_class_share(suite, WireClass::Pw),
-            suite_class_share(suite, WireClass::L),
-            suite.runs.iter().map(|r| r.net.dynamic_energy).sum::<f64>(),
-            suite
-                .relative_to(baseline, EnergyParams::ten_percent())
-                .rel_ed2,
-            suite
-                .relative_to(baseline, EnergyParams::twenty_percent())
-                .rel_ed2,
+            policy[0].label, v[0], v[1], v[2], v[3], v[4], v[5], v[6],
         ));
+    }
+    out
+}
+
+/// Builds the [`MetricRow`]s of a Table-3/4 sweep on `topology`: `section`
+/// is the topology name, `label` the model name, and the metrics are the
+/// row's metal area and its 10%/20% reports.
+pub fn model_metric_rows(topology: &TopologySpec, rows: &[ModelRow]) -> Vec<MetricRow> {
+    let section = topology.name();
+    let mut out = Vec::new();
+    for r in rows {
+        let label = r.model.name();
+        for (metric, value) in [
+            ("metal_area", r.metal_area),
+            ("ipc", r.at_10.ipc),
+            ("ic_dynamic_pct", r.at_10.rel_ic_dynamic),
+            ("ic_leakage_pct", r.at_10.rel_ic_leakage),
+            ("energy10_pct", r.at_10.rel_processor_energy),
+            ("ed2_10_pct", r.at_10.rel_ed2),
+            ("energy20_pct", r.at_20.rel_processor_energy),
+            ("ed2_20_pct", r.at_20.rel_ed2),
+        ] {
+            out.push(MetricRow::new(&section, &label, metric, value));
+        }
+    }
+    out
+}
+
+/// Builds the per-benchmark [`MetricRow`]s of labelled suites: `section`
+/// is the suite's label, `label` the benchmark.
+pub fn suite_metric_rows(suites: &[(&str, &SuiteResults)]) -> Vec<MetricRow> {
+    let mut out = Vec::new();
+    for (section, suite) in suites {
+        for (name, r) in suite.names.iter().zip(&suite.runs) {
+            for (metric, value) in [
+                ("instructions", r.instructions as f64),
+                ("cycles", r.cycles as f64),
+                ("ipc", r.ipc()),
+                ("transfers_per_inst", r.transfers_per_inst()),
+                ("ic_dynamic_energy", r.net.dynamic_energy),
+                ("l1_misses", r.mem.l1_misses as f64),
+                ("l2_misses", r.mem.l2_misses as f64),
+                ("mispredict_rate", r.fetch.mispredict_rate()),
+                ("false_dep_rate", r.lsq.false_dependence_rate()),
+                ("narrow_coverage", r.narrow_coverage),
+            ] {
+                out.push(MetricRow::new(section, name, metric, value));
+            }
+        }
     }
     out
 }
@@ -519,7 +561,7 @@ pub fn model_rows(models: &[ModelSpec], suites: &[SuiteResults]) -> Vec<ModelRow
         .collect()
 }
 /// Formats a model sweep as an aligned text table (Table-3 layout).
-pub fn format_model_table(rows: &[ModelRow], include_10: bool) -> String {
+pub fn format_model_table(rows: &[ModelRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<10} {:<40} {:>5} {:>6} {:>7} {:>7} {:>7} {:>9} {:>9}\n",
@@ -542,11 +584,7 @@ pub fn format_model_table(rows: &[ModelRow], include_10: bool) -> String {
             r.at_10.ipc,
             r.at_10.rel_ic_dynamic,
             r.at_10.rel_ic_leakage,
-            if include_10 {
-                r.at_10.rel_processor_energy
-            } else {
-                r.at_20.rel_processor_energy
-            },
+            r.at_10.rel_processor_energy,
             r.at_10.rel_ed2,
             r.at_20.rel_ed2,
         ));
@@ -565,170 +603,10 @@ pub fn csv_field(s: &str) -> String {
     }
 }
 
-/// Formats a model sweep as CSV (machine-readable companion to
-/// [`format_model_table`]); pass the path via `--csv <file>` on the
-/// `table3`/`table4` binaries.
-pub fn format_model_csv(rows: &[ModelRow]) -> String {
-    let mut out = String::from(
-        "model,link,metal_area,ipc,ic_dynamic_pct,ic_leakage_pct,\
-         energy10_pct,ed2_10_pct,energy20_pct,ed2_20_pct\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}\n",
-            r.model.name(),
-            csv_field(&r.description),
-            r.metal_area,
-            r.at_10.ipc,
-            r.at_10.rel_ic_dynamic,
-            r.at_10.rel_ic_leakage,
-            r.at_10.rel_processor_energy,
-            r.at_10.rel_ed2,
-            r.at_20.rel_processor_energy,
-            r.at_20.rel_ed2,
-        ));
-    }
-    out
-}
-
-/// Formats labelled per-benchmark suites as CSV: one block per suite (a
-/// header and one row per benchmark), blocks separated by a blank line.
-pub fn format_suite_csv(suites: &[(&str, &SuiteResults)]) -> String {
-    let block = |suite: &SuiteResults| {
-        let mut out = String::from(
-            "benchmark,instructions,cycles,ipc,transfers_per_inst,\
-             ic_dynamic_energy,l1_misses,l2_misses,mispredict_rate,\
-             false_dep_rate,narrow_coverage\n",
-        );
-        for (name, r) in suite.names.iter().zip(&suite.runs) {
-            out.push_str(&format!(
-                "{},{},{},{:.4},{:.3},{:.1},{},{},{:.4},{:.4},{:.4}\n",
-                name,
-                r.instructions,
-                r.cycles,
-                r.ipc(),
-                r.transfers_per_inst(),
-                r.net.dynamic_energy,
-                r.mem.l1_misses,
-                r.mem.l2_misses,
-                r.fetch.mispredict_rate(),
-                r.lsq.false_dependence_rate(),
-                r.narrow_coverage,
-            ));
-        }
-        out
-    };
-    suites
-        .iter()
-        .map(|(_, suite)| block(suite))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Formats a model sweep as one JSON document (the `--json` companion to
-/// [`format_model_csv`]), hand-rolled through the telemetry writer so the
-/// offline container needs no serde.
-pub fn format_model_json(rows: &[ModelRow]) -> String {
-    fn report(w: &mut JsonWriter, r: &RelativeReport) {
-        w.begin_object();
-        w.key("ipc").f64(r.ipc);
-        w.key("ic_dynamic_pct").f64(r.rel_ic_dynamic);
-        w.key("ic_leakage_pct").f64(r.rel_ic_leakage);
-        w.key("energy_pct").f64(r.rel_processor_energy);
-        w.key("ed2_pct").f64(r.rel_ed2);
-        w.end_object();
-    }
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("rows").begin_array();
-    for r in rows {
-        w.begin_object();
-        w.key("model").string(&r.model.name());
-        w.key("link").string(&r.description);
-        w.key("metal_area").f64(r.metal_area);
-        w.key("at_10");
-        report(&mut w, &r.at_10);
-        w.key("at_20");
-        report(&mut w, &r.at_20);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// Formats labelled per-benchmark suites as one JSON document: every run
-/// embeds the full [`SimResults::to_json`] record.
-pub fn format_suite_json(suites: &[(&str, &SuiteResults)]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("suites").begin_array();
-    for (label, suite) in suites {
-        w.begin_object();
-        w.key("label").string(label);
-        w.key("mean_ipc").f64(suite.mean_ipc());
-        w.key("runs").begin_array();
-        for (name, r) in suite.names.iter().zip(&suite.runs) {
-            w.begin_object();
-            w.key("benchmark").string(name);
-            w.key("results").raw(&r.to_json());
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// Formats the Table-2 wire-parameter rows as CSV.
-pub fn format_table2_csv(rows: &[Table2Row]) -> String {
-    let mut out = String::from(
-        "class,relative_delay,derived_delay,relative_dynamic,\
-         derived_dynamic,relative_leakage,crossbar_latency,ring_hop_latency\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.3},{},{:.3},{},{},{}\n",
-            r.class.label(),
-            r.relative_delay,
-            r.derived_delay,
-            r.relative_dynamic,
-            r.derived_dynamic,
-            r.relative_leakage,
-            r.crossbar_latency,
-            r.ring_hop_latency,
-        ));
-    }
-    out
-}
-
-/// Formats the Table-2 wire-parameter rows as JSON.
-pub fn format_table2_json(rows: &[Table2Row]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("rows").begin_array();
-    for r in rows {
-        w.begin_object();
-        w.key("class").string(r.class.label());
-        w.key("relative_delay").f64(r.relative_delay);
-        w.key("derived_delay").f64(r.derived_delay);
-        w.key("relative_dynamic").f64(r.relative_dynamic);
-        w.key("derived_dynamic").f64(r.derived_dynamic);
-        w.key("relative_leakage").f64(r.relative_leakage);
-        w.key("crossbar_latency").u64(r.crossbar_latency as u64);
-        w.key("ring_hop_latency").u64(r.ring_hop_latency as u64);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-/// One labelled scalar from an ablation or sensitivity study: the
-/// machine-readable shape behind those binaries' `--csv` / `--json`
-/// output. `section` names the study (e.g. `ls-bits`), `label` the swept
-/// point (e.g. `8`), `metric` the measured quantity (e.g. `am_ipc`).
+/// One labelled scalar: the only artifact schema, behind every binary's
+/// `--csv` / `--json` output. `section` names the study, suite or
+/// topology (e.g. `ls-bits`), `label` the swept point, model, policy or
+/// benchmark (e.g. `8`), `metric` the measured quantity (e.g. `am_ipc`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricRow {
     /// Which study produced the value.
@@ -753,7 +631,7 @@ impl MetricRow {
     }
 }
 
-/// Formats study metrics as CSV (one row per scalar).
+/// Formats metric rows as CSV (one line per scalar).
 pub fn format_metric_csv(rows: &[MetricRow]) -> String {
     let mut out = String::from("section,label,metric,value\n");
     for r in rows {
@@ -768,7 +646,7 @@ pub fn format_metric_csv(rows: &[MetricRow]) -> String {
     out
 }
 
-/// Formats study metrics as one JSON document.
+/// Formats metric rows as one JSON document.
 pub fn format_metric_json(rows: &[MetricRow]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -965,13 +843,14 @@ pub struct ArtifactPaths {
 }
 
 impl ArtifactPaths {
-    /// Writes the requested artifacts, rendering each only when asked for.
-    pub fn emit(&self, csv: impl FnOnce() -> String, json: impl FnOnce() -> String) {
+    /// Writes `rows` to the requested artifacts, rendering each only when
+    /// asked for.
+    pub fn emit(&self, rows: &[MetricRow]) {
         if let Some(path) = &self.csv {
-            write_artifact(path, &csv());
+            write_artifact(path, &format_metric_csv(rows));
         }
         if let Some(path) = &self.json {
-            write_artifact(path, &json());
+            write_artifact(path, &format_metric_json(rows));
         }
     }
 }
@@ -1029,7 +908,7 @@ pub fn model_sweep_main(default_topology: &str) -> (TopologySpec, Vec<ModelRow>)
         .collect();
     let suites = completed(sweep(&cells, scale, executor::default_workers()));
     let rows = model_rows(&models, &suites);
-    paths.emit(|| format_model_csv(&rows), || format_model_json(&rows));
+    paths.emit(&model_metric_rows(&spec, &rows));
     (spec, rows)
 }
 
@@ -1037,28 +916,6 @@ pub fn model_sweep_main(default_topology: &str) -> (TopologySpec, Vec<ModelRow>)
 mod tests {
     use super::*;
     use heterowire_core::InterconnectModel;
-    use heterowire_wires::classes::table2;
-
-    /// Splits one CSV line into fields, honouring RFC-4180 quoting.
-    fn parse_csv_line(line: &str) -> Vec<String> {
-        let mut fields = Vec::new();
-        let mut field = String::new();
-        let mut in_quotes = false;
-        let mut chars = line.chars().peekable();
-        while let Some(c) = chars.next() {
-            match c {
-                '"' if in_quotes && chars.peek() == Some(&'"') => {
-                    chars.next();
-                    field.push('"');
-                }
-                '"' => in_quotes = !in_quotes,
-                ',' if !in_quotes => fields.push(std::mem::take(&mut field)),
-                _ => field.push(c),
-            }
-        }
-        fields.push(field);
-        fields
-    }
 
     /// Parses a flag list against the declared flags.
     fn args(v: &[&str], flags: &[&str]) -> Result<Args, String> {
@@ -1090,52 +947,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_model_and_consistent_fields() {
-        let rows = paper_rows(RunScale {
-            window: 1_000,
-            warmup: 200,
-        });
-        let csv = format_model_csv(&rows);
-        assert_eq!(csv.lines().count(), 11, "header + 10 models");
-        assert!(csv.starts_with("model,"));
-        assert!(csv.contains("\nI,"));
-        assert!(csv.contains("\nX,"));
-        let header = parse_csv_line(csv.lines().next().unwrap());
-        for (line, row) in csv.lines().skip(1).zip(&rows) {
-            let fields = parse_csv_line(line);
-            assert_eq!(
-                fields.len(),
-                header.len(),
-                "row has as many fields as the header: {line}"
-            );
-            assert_eq!(fields[0], row.model.name());
-            // The description round-trips through quoting even though it
-            // contains commas (e.g. "72 B-Wires, 144 L-Wires").
-            assert_eq!(fields[1], row.description);
-        }
-    }
-
-    #[test]
     fn csv_field_escapes_specials() {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
-    }
-
-    #[test]
-    fn suite_csv_has_one_row_per_benchmark() {
-        let suite = model_i_suite(RunScale {
-            window: 1_000,
-            warmup: 200,
-        });
-        let csv = format_suite_csv(&[("base", &suite)]);
-        assert_eq!(csv.lines().count(), 24, "header + 23 benchmarks");
-        assert!(csv.contains("gzip,"));
-        assert!(csv.contains("mcf,"));
-        // Several suites are blank-line-separated blocks.
-        let two = format_suite_csv(&[("a", &suite), ("b", &suite)]);
-        assert_eq!(two, format!("{csv}\n{csv}"));
     }
 
     #[test]
@@ -1161,63 +977,6 @@ mod tests {
         );
         assert!(RunScale::from_env_value(Some("fast")).is_err());
         assert!(RunScale::from_env_value(Some("QUICK")).is_err());
-    }
-
-    #[test]
-    fn model_json_round_trips() {
-        let rows = paper_rows(RunScale {
-            window: 1_000,
-            warmup: 200,
-        });
-        let doc = heterowire_telemetry::json::parse(&format_model_json(&rows))
-            .expect("model JSON parses");
-        let out = doc.get("rows").unwrap().as_arr().unwrap();
-        assert_eq!(out.len(), 10);
-        for (obj, row) in out.iter().zip(&rows) {
-            // Descriptions contain commas and survive JSON escaping.
-            assert_eq!(obj.get("link").unwrap().as_str(), Some(&*row.description));
-            assert_eq!(
-                obj.get("at_10").unwrap().get("ipc").unwrap().as_num(),
-                Some(row.at_10.ipc)
-            );
-        }
-    }
-
-    #[test]
-    fn suite_json_embeds_full_results() {
-        let suite = model_i_suite(RunScale {
-            window: 1_000,
-            warmup: 200,
-        });
-        let doc = heterowire_telemetry::json::parse(&format_suite_json(&[("base", &suite)]))
-            .expect("suite JSON parses");
-        let suites = doc.get("suites").unwrap().as_arr().unwrap();
-        assert_eq!(suites.len(), 1);
-        let runs = suites[0].get("runs").unwrap().as_arr().unwrap();
-        assert_eq!(runs.len(), 23);
-        let first = &runs[0];
-        assert_eq!(
-            first.get("benchmark").unwrap().as_str(),
-            Some(suite.names[0])
-        );
-        assert_eq!(
-            first
-                .get("results")
-                .unwrap()
-                .get("instructions")
-                .unwrap()
-                .as_num(),
-            Some(suite.runs[0].instructions as f64)
-        );
-    }
-
-    #[test]
-    fn table2_json_and_csv_agree() {
-        let rows = table2();
-        let csv = format_table2_csv(&rows);
-        assert_eq!(csv.lines().count(), rows.len() + 1);
-        let doc = heterowire_telemetry::json::parse(&format_table2_json(&rows)).expect("parses");
-        assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), rows.len());
     }
 
     #[test]
@@ -1338,6 +1097,76 @@ mod tests {
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[1].get("label").unwrap().as_str(), Some("paper (both)"));
         assert_eq!(arr[0].get("value").unwrap().as_num(), Some(7.25));
+    }
+
+    #[test]
+    fn model_and_suite_rows_carry_the_struct_fields_bit_for_bit() {
+        let scale = RunScale {
+            window: 1_000,
+            warmup: 200,
+        };
+        // The metric names, in order, are each row type's schema; each
+        // value is the struct field itself.
+        let names = |rows: &[MetricRow], n: usize| {
+            let names: Vec<&str> = rows[..n].iter().map(|r| r.metric.as_str()).collect();
+            names.join(",")
+        };
+        let bits = |rows: &[MetricRow], label: &str, metric: &str| {
+            let row = rows
+                .iter()
+                .find(|r| r.label == label && r.metric == metric)
+                .unwrap_or_else(|| panic!("{label}/{metric} missing"));
+            row.value.to_bits()
+        };
+
+        let models = paper_rows(scale);
+        let rows = model_metric_rows(&TopologySpec::parse("crossbar4").unwrap(), &models);
+        assert_eq!(rows.len(), 10 * 8);
+        assert_eq!(
+            names(&rows, 8),
+            "metal_area,ipc,ic_dynamic_pct,ic_leakage_pct,\
+             energy10_pct,ed2_10_pct,energy20_pct,ed2_20_pct"
+        );
+        assert!(rows.iter().all(|r| r.section == "crossbar4"));
+        for m in &models {
+            let label = m.model.name();
+            let get = |metric| bits(&rows, &label, metric);
+            assert_eq!(get("metal_area"), m.metal_area.to_bits());
+            assert_eq!(get("ipc"), m.at_10.ipc.to_bits());
+            assert_eq!(get("ic_dynamic_pct"), m.at_10.rel_ic_dynamic.to_bits());
+            assert_eq!(get("ic_leakage_pct"), m.at_10.rel_ic_leakage.to_bits());
+            assert_eq!(get("energy10_pct"), m.at_10.rel_processor_energy.to_bits());
+            assert_eq!(get("ed2_10_pct"), m.at_10.rel_ed2.to_bits());
+            assert_eq!(get("energy20_pct"), m.at_20.rel_processor_energy.to_bits());
+            assert_eq!(get("ed2_20_pct"), m.at_20.rel_ed2.to_bits());
+        }
+
+        let suite = model_i_suite(scale);
+        let rows = suite_metric_rows(&[("baseline", &suite), ("lwire", &suite)]);
+        assert_eq!(rows.len(), 2 * 23 * 10);
+        assert_eq!(
+            names(&rows, 10),
+            "instructions,cycles,ipc,transfers_per_inst,ic_dynamic_energy,\
+             l1_misses,l2_misses,mispredict_rate,false_dep_rate,narrow_coverage"
+        );
+        assert!(rows[..230].iter().all(|r| r.section == "baseline"));
+        assert!(rows[230..].iter().all(|r| r.section == "lwire"));
+        for (name, r) in suite.names.iter().zip(&suite.runs) {
+            let get = |metric| bits(&rows, name, metric);
+            assert_eq!(get("instructions"), (r.instructions as f64).to_bits());
+            assert_eq!(get("cycles"), (r.cycles as f64).to_bits());
+            assert_eq!(get("ipc"), r.ipc().to_bits());
+            assert_eq!(get("transfers_per_inst"), r.transfers_per_inst().to_bits());
+            assert_eq!(get("ic_dynamic_energy"), r.net.dynamic_energy.to_bits());
+            assert_eq!(get("l1_misses"), (r.mem.l1_misses as f64).to_bits());
+            assert_eq!(get("l2_misses"), (r.mem.l2_misses as f64).to_bits());
+            assert_eq!(get("mispredict_rate"), r.fetch.mispredict_rate().to_bits());
+            assert_eq!(
+                get("false_dep_rate"),
+                r.lsq.false_dependence_rate().to_bits()
+            );
+            assert_eq!(get("narrow_coverage"), r.narrow_coverage.to_bits());
+        }
     }
 
     #[test]
@@ -1501,8 +1330,26 @@ mod tests {
             .find(|r| r.label == "paper" && r.metric == "ed2_10_pct")
             .unwrap();
         assert!((base_ed2.value - 100.0).abs() < 1e-9);
-        let table = format_policy_table(&model, &policies, &suites);
-        assert!(table.contains("paper") && table.contains("oracle"));
+        // The table prints the rows it is given: each policy's line holds
+        // its seven values, rounded to the printed precision.
+        let table = format_policy_table(&model, &rows);
+        let lines: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(lines.len(), policies.len(), "{table}");
+        for (line, policy) in lines.iter().zip(rows.chunks(7)) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(fields[0], policy[0].label, "{line}");
+            for ((field, row), decimals) in
+                fields[1..].iter().zip(policy).zip([3, 1, 1, 1, 0, 1, 1])
+            {
+                let printed: f64 = field.parse().expect("numeric cell");
+                let slack = 0.5 * 10f64.powi(-decimals) + 1e-9;
+                assert!(
+                    (printed - row.value).abs() <= slack,
+                    "{}: {line}",
+                    row.metric
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,6 @@ use crate::classes::WireClass;
 pub const FULL_LANE_WIRES: u32 = 72;
 /// Wires per narrow lane for L planes.
 pub const NARROW_LANE_WIRES: u32 = 18;
-/// Payload bits carried by one full-width lane transfer (excluding tag).
-pub const FULL_LANE_PAYLOAD_BITS: u32 = 64;
-/// Payload bits carried by one narrow lane transfer (excluding tag).
-pub const NARROW_LANE_PAYLOAD_BITS: u32 = 10;
 
 /// A bundle of `count` wires of a single class on one unidirectional link.
 ///
@@ -75,14 +71,6 @@ impl WirePlane {
     /// Independent transfers this plane can start per cycle.
     pub fn lanes(&self) -> u32 {
         self.count / Self::wires_per_lane(self.class)
-    }
-
-    /// Payload bits per single-lane transfer (tag excluded).
-    pub fn payload_bits(&self) -> u32 {
-        match self.class {
-            WireClass::L => NARROW_LANE_PAYLOAD_BITS,
-            _ => FULL_LANE_PAYLOAD_BITS,
-        }
     }
 
     /// Metal-area footprint in units of one W-wire track.

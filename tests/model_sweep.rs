@@ -1,6 +1,7 @@
 //! Integration tests over the Table-3/4 sweep machinery: the energy model,
 //! normalisation, and the orderings that define the paper's conclusions;
-//! plus the sweep binaries' refusal of undeclared flags and study names.
+//! plus the sweep binaries' refusal of undeclared flags and study names,
+//! and the one `section,label,metric,value` schema of their artifacts.
 
 use heterowire_bench::{completed, executor, model_rows, sweep, Cell, ModelRow, RunScale};
 use heterowire_core::{InterconnectModel, ModelSpec, ProcessorConfig};
@@ -170,4 +171,69 @@ fn ablation_refuses_unknown_studies_with_exit_2() {
     let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_ablation"), &["--lsbits"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("\"--lsbits\""), "token not named: {stderr}");
+}
+
+/// Runs a harness binary at quick scale with `--csv` and `--json` into
+/// the test's scratch directory and returns its stdout and both
+/// artifacts.
+fn run_artifacts(bin: &str, name: &str, args: &[&str]) -> (String, String, String) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let csv = dir.join(format!("{name}.csv"));
+    let json = dir.join(format!("{name}.json"));
+    let out = Command::new(bin)
+        .args(args)
+        .arg("--csv")
+        .arg(&csv)
+        .arg("--json")
+        .arg(&json)
+        .env("HETEROWIRE_SCALE", "quick")
+        .output()
+        .expect("spawn harness binary");
+    assert!(
+        out.status.success(),
+        "{name}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        std::fs::read_to_string(csv).expect("CSV artifact written"),
+        std::fs::read_to_string(json).expect("JSON artifact written"),
+    )
+}
+
+/// Checks an artifact pair against the one metric-row schema and returns
+/// its row count: a `section,label,metric,value` CSV and a
+/// `{"metrics":[...]}` JSON document with as many rows.
+fn metric_row_count(name: &str, csv: &str, json: &str) -> usize {
+    let mut lines = csv.lines();
+    assert_eq!(lines.next(), Some("section,label,metric,value"), "{name}");
+    let rows = lines.count();
+    let doc = heterowire_telemetry::json::parse(json).expect("JSON artifact parses");
+    let metrics = doc.get("metrics").and_then(|m| m.as_arr());
+    assert_eq!(metrics.map(<[_]>::len), Some(rows), "{name}");
+    rows
+}
+
+#[test]
+fn table2_writes_seven_metric_rows_per_wire_class() {
+    let bin = env!("CARGO_BIN_EXE_table2");
+    let (_, csv, json) = run_artifacts(bin, "table2_all", &[]);
+    assert_eq!(metric_row_count("table2", &csv, &json), 4 * 7);
+    assert!(csv.contains("\ntable2,L,ring_hop_latency,"), "{csv}");
+    // Model VII uses two classes (B and L), so the table keeps two.
+    let (_, csv, json) = run_artifacts(bin, "table2_vii", &["--model", "VII"]);
+    assert_eq!(metric_row_count("table2 --model VII", &csv, &json), 2 * 7);
+}
+
+#[test]
+fn fig3_titles_its_topology_and_writes_ten_metric_rows_per_run() {
+    let bin = env!("CARGO_BIN_EXE_fig3");
+    let (stdout, csv, json) = run_artifacts(bin, "fig3_hier16", &["--topology", "hier16"]);
+    assert!(
+        stdout.starts_with("Figure 3: IPC, 16-cluster partitioned architecture\n"),
+        "{stdout}"
+    );
+    assert_eq!(metric_row_count("fig3", &csv, &json), 2 * 23 * 10);
+    assert!(csv.contains("\nbaseline,gzip,ipc,"), "{csv}");
+    assert!(csv.contains("\nlwire,mcf,narrow_coverage,"), "{csv}");
 }
